@@ -144,10 +144,7 @@ def _build_code(args):
 
 def _cmd_codes_verify(args) -> int:
     code = _build_code(args)
-    mode = args.mode if args.mode != "exhaustive" else "exhaustive"
-    if args.mode == "sampled":
-        mode = f"sampled({args.samples})"
-    delta, mode = verify_distance(code, mode)
+    delta, mode = verify_distance(code)
     report = {
         "config": _config_echo(args),
         "name": code.name,
@@ -341,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     codes = sub.add_parser("codes").add_subparsers(dest="action", required=True)
     cv = codes.add_parser("verify")
     _add_code_flags(cv)
-    cv.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    cv.add_argument("--samples", type=int, default=10000)
+    # --mode and --samples are still accepted so existing job lists keep working
+    cv.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
+                    help="ignored: verification is always exact")
+    cv.add_argument("--samples", type=int, default=10000, help="ignored")
     _add_common(cv)
     cv.set_defaults(func=_cmd_codes_verify)
 

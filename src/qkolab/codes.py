@@ -3,8 +3,8 @@
 A code is an n x m generator matrix; codeword positions are indexed 0..m-1.
 ``delta_verified`` is the agreement bound: distinct codewords agree in at
 most delta*m positions, i.e. the minimum distance is at least (1-delta)*m.
-Verification is exhaustive up to 2^n <= 4096 and sampled (with the sample
-count recorded) beyond that.
+Verification is exact for every code with n <= 20: one Walsh-Hadamard
+transform weighs all 2^n - 1 nonzero codewords.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from .bits import BitString
 from .errors import CapError, InputError
 
-EXHAUSTIVE_CAP = 4096  # max 2^n for exhaustive distance verification
+VERIFY_N_CAP = 20  # max n for distance verification: a 2^n int64 histogram, 8 MiB at the cap
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class LinearCode:
     m: int
     generator: np.ndarray = field(repr=False)  # n x m uint8, read-only
     delta_verified: float | None
-    verification_mode: str  # "exhaustive" | "sampled(k)" | "unverified"
+    verification_mode: str  # "exhaustive" | "unverified"
 
     def __post_init__(self):
         if not (self.m >= self.n >= 1):
@@ -57,47 +57,39 @@ def encode_blocks(code: LinearCode, x: BitString) -> BitString:
     return BitString(((blocks @ code.generator) % 2).reshape(-1))
 
 
-def _min_nonzero_weight(code: LinearCode, messages: np.ndarray) -> int:
-    words = (messages @ code.generator) % 2
-    return int(words.sum(axis=1).min())
+def _bit_columns(values: np.ndarray, n: int) -> np.ndarray:
+    """n x len(values) matrix whose column j holds values[j] in n bits, MSB first."""
+    return ((values[None, :] >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(np.uint8)
 
 
-def verify_distance(code: LinearCode, mode: str = "exhaustive") -> tuple[float, str]:
-    """Measured agreement bound delta = 1 - (min distance)/m.
+def verify_distance(code: LinearCode) -> tuple[float, str]:
+    """Exact agreement bound delta = 1 - (min distance)/m.
 
     For a linear code the minimum pairwise distance equals the minimum
-    nonzero codeword weight, so the zero pair is excluded by construction.
-    ``mode`` is "exhaustive" or "sampled(k)".
+    nonzero codeword weight. The codeword of message x has weight
+    (m - W[x])/2, where W is the Walsh-Hadamard transform of the histogram
+    of generator columns read as n-bit integers (MacWilliams & Sloane, The
+    Theory of Error-Correcting Codes, ch. 1), so one O(n 2^n) transform
+    weighs every nonzero message and the mode is always "exhaustive".
     """
-    if mode == "exhaustive":
-        if 2**code.n > EXHAUSTIVE_CAP:
-            raise CapError(
-                f"exhaustive verification needs 2^n <= {EXHAUSTIVE_CAP}; "
-                f"use mode='sampled(k)' for n={code.n}"
-            )
-        count = 2**code.n - 1
-        msgs = np.zeros((count, code.n), dtype=np.uint8)
-        for v in range(1, 2**code.n):
-            msgs[v - 1] = [(v >> (code.n - 1 - j)) & 1 for j in range(code.n)]
-        return 1.0 - _min_nonzero_weight(code, msgs) / code.m, "exhaustive"
-    if mode.startswith("sampled(") and mode.endswith(")"):
-        k = int(mode[len("sampled(") : -1])
-        if k < 1:
-            raise InputError("sample count must be >= 1")
-        rng = np.random.default_rng(0xC0DE)
-        msgs = rng.integers(0, 2, (k, code.n), dtype=np.uint8)
-        msgs = msgs[msgs.any(axis=1)]
-        if not len(msgs):
-            raise InputError("all sampled messages were zero; increase k")
-        return 1.0 - _min_nonzero_weight(code, msgs) / code.m, f"sampled({k})"
-    raise InputError(f"unknown verification mode {mode!r}")
+    n, m = code.n, code.m
+    if n > VERIFY_N_CAP:
+        raise CapError(f"distance verification needs n <= {VERIFY_N_CAP}, got n={n}")
+    columns = (1 << np.arange(n - 1, -1, -1)) @ code.generator
+    w = np.bincount(columns, minlength=2**n)
+    h = 1
+    while h < w.size:
+        pairs = w.reshape(-1, 2, h)  # a view: the butterflies update w in place
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = low - pairs[:, 1]
+        h *= 2
+    return 1.0 - int((m - w[1:]).min() // 2) / m, "exhaustive"
 
 
-def _verified(name: str, n: int, m: int, gen: np.ndarray, sample_k: int = 20000) -> LinearCode:
-    code = LinearCode(name, n, m, gen, None, "unverified")
-    mode = "exhaustive" if 2**n <= EXHAUSTIVE_CAP else f"sampled({sample_k})"
-    delta, mode_used = verify_distance(code, mode)
-    return LinearCode(name, n, m, gen, delta, mode_used)
+def _verified(name: str, n: int, m: int, gen: np.ndarray) -> LinearCode:
+    delta, mode = verify_distance(LinearCode(name, n, m, gen, None, "unverified"))
+    return LinearCode(name, n, m, gen, delta, mode)
 
 
 def hadamard_code(n: int) -> LinearCode:
@@ -108,12 +100,7 @@ def hadamard_code(n: int) -> LinearCode:
     """
     if not 1 <= n <= 16:
         raise InputError(f"hadamard_code needs 1 <= n <= 16, got {n}")
-    m = 2**n
-    gen = np.zeros((n, m), dtype=np.uint8)
-    for j in range(n):
-        for z in range(m):
-            gen[j, z] = (z >> (n - 1 - j)) & 1
-    return _verified(f"hadamard-{n}", n, m, gen)
+    return _verified(f"hadamard-{n}", n, 2**n, _bit_columns(np.arange(2**n), n))
 
 
 def simplex_code(n: int) -> LinearCode:
@@ -121,30 +108,28 @@ def simplex_code(n: int) -> LinearCode:
     integer order 1..2^n-1."""
     if not 1 <= n <= 16:
         raise InputError(f"simplex_code needs 1 <= n <= 16, got {n}")
-    m = 2**n - 1
-    gen = np.zeros((n, m), dtype=np.uint8)
-    for j in range(n):
-        for z in range(1, 2**n):
-            gen[j, z - 1] = (z >> (n - 1 - j)) & 1
-    return _verified(f"simplex-{n}", n, m, gen)
+    return _verified(f"simplex-{n}", n, 2**n - 1, _bit_columns(np.arange(1, 2**n), n))
 
 
-def _gf2_rank(mat: np.ndarray) -> int:
-    a = mat.copy().astype(np.uint8)
-    rank = 0
-    rows, cols = a.shape
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if a[r, col]), None)
-        if pivot is None:
+def _gf2_reduce(a: np.ndarray, ncols: int) -> list[int]:
+    """Row-reduce the uint8 matrix ``a`` in place over GF(2) on its first
+    ``ncols`` columns; row r of the result has its pivot in column
+    pivot_cols[r], and the rows below len(pivot_cols) are zero there."""
+    pivot_cols: list[int] = []
+    for col in range(ncols):
+        rank = len(pivot_cols)
+        if rank == a.shape[0]:
+            break
+        below = np.flatnonzero(a[rank:, col])
+        if not below.size:
             continue
+        pivot = rank + int(below[0])
         a[[rank, pivot]] = a[[pivot, rank]]
         mask = a[:, col].copy()
         mask[rank] = 0
         a[mask == 1] ^= a[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+        pivot_cols.append(col)
+    return pivot_cols
 
 
 def concatenated_code(n: int, target_rate_c: int) -> LinearCode:
@@ -156,13 +141,15 @@ def concatenated_code(n: int, target_rate_c: int) -> LinearCode:
     """
     if n < 1 or target_rate_c < 2:
         raise InputError("need n >= 1 and target_rate_c >= 2")
+    if n > VERIFY_N_CAP:  # before the n x c*n generator is allocated
+        raise CapError(f"concatenated_code needs n <= {VERIFY_N_CAP}, got n={n}")
     m = target_rate_c * n
     if n == 1:
         return _verified(f"concat-1x{target_rate_c}", 1, m, np.ones((1, m), dtype=np.uint8))
     rng = np.random.default_rng(0x51ED_0000 + 65536 * n + target_rate_c)
     for _ in range(1000):
         gen = rng.integers(0, 2, (n, m), dtype=np.uint8)
-        if _gf2_rank(gen) == n:
+        if len(_gf2_reduce(gen.copy(), m)) == n:
             return _verified(f"concat-{n}x{target_rate_c}", n, m, gen)
     raise InputError(f"could not build a full-rank generator for n={n}, c={target_rate_c}")
 
@@ -175,26 +162,12 @@ def decode_message(code: LinearCode, word: BitString) -> BitString | None:
     if word.length != code.m:
         raise InputError(f"word length {word.length} != code.m {code.m}")
     # Solve G^T x = w by elimination on the augmented (m x n+1) system.
-    aug = np.concatenate(
-        [code.generator.T.astype(np.uint8), word.bits().reshape(-1, 1)], axis=1
-    )
-    rank = 0
-    pivot_cols = []
-    for col in range(code.n):
-        pivot = next((r for r in range(rank, aug.shape[0]) if aug[r, col]), None)
-        if pivot is None:
-            continue
-        aug[[rank, pivot]] = aug[[pivot, rank]]
-        mask = aug[:, col].copy()
-        mask[rank] = 0
-        aug[mask == 1] ^= aug[rank]
-        pivot_cols.append(col)
-        rank += 1
-    if aug[rank:, code.n].any():
+    aug = np.concatenate([code.generator.T, word.bits().reshape(-1, 1)], axis=1)
+    pivot_cols = _gf2_reduce(aug, code.n)
+    if aug[len(pivot_cols):, code.n].any():
         return None  # inconsistent: not a codeword
     x = np.zeros(code.n, dtype=np.uint8)
-    for r, col in enumerate(pivot_cols):
-        x[col] = aug[r, code.n]
+    x[pivot_cols] = aug[: len(pivot_cols), code.n]
     return BitString(x)
 
 

@@ -33,7 +33,7 @@ class StateVector:
         if amps.shape != (2**self.q,):
             raise InputError(f"expected {2**self.q} amplitudes, got {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails every comparison
             raise InputError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -76,9 +76,9 @@ class DensityMatrix:
         dim = 2**self.q
         if mat.shape != (dim, dim):
             raise InputError(f"expected {dim}x{dim} matrix")
-        if np.abs(mat - mat.conj().T).max() > NORM_TOL:
+        if not np.abs(mat - mat.conj().T).max() <= NORM_TOL:  # NaN fails here too
             raise InputError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > NORM_TOL:
+        if not abs(np.trace(mat).real - 1.0) <= NORM_TOL:
             raise InputError("trace deviates from 1 beyond tolerance")
         if np.linalg.eigvalsh(mat).min() < -EIG_FLOOR:
             raise InputError("matrix has an eigenvalue below the PSD floor")

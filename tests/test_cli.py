@@ -27,6 +27,20 @@ def test_codes_verify(tmp_path, capsys):
     assert doc["config"]["n"] == 3
 
 
+def test_codes_verify_ignores_mode_and_caps_n(tmp_path, capsys):
+    code, data = run(
+        ["codes", "verify", "--code", "hadamard", "--n", "13",
+         "--mode", "sampled", "--samples", "2000"],
+        tmp_path,
+    )
+    assert code == 0
+    doc = json.loads(data)
+    assert (doc["delta_verified"], doc["verification_mode"]) == (0.5, "exhaustive")
+    assert main(["codes", "verify", "--code", "concatenated", "--n", "21"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_equality_quantum(tmp_path):
     code, data = run(
         ["equality", "--protocol", "quantum", "--n", "4", "--k", "1",

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from qkolab.bits import BitString
 from qkolab.codes import (
+    VERIFY_N_CAP,
+    LinearCode,
     concatenated_code,
     contains,
     decode_message,
@@ -53,16 +57,42 @@ def test_concatenated_code_deterministic_and_verified():
     assert concatenated_code(1, 5).delta_verified == 0.0  # repetition code
 
 
+def _enumerated_delta(gen):
+    """Oracle: 1 - (min nonzero codeword weight)/m over every message."""
+    n, m = gen.shape
+    weights = [
+        int((np.array(x) @ gen % 2).sum())
+        for x in itertools.product((0, 1), repeat=n)
+        if any(x)
+    ]
+    return 1.0 - min(weights) / m
+
+
+@given(st.integers(1, 10), st.integers(0, 30), st.booleans(), st.data())
+def test_verify_distance_matches_enumeration(n, extra, deficient, data):
+    m = n + extra
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n * m, max_size=n * m))
+    gen = np.array(bits, dtype=np.uint8).reshape(n, m)
+    if deficient:  # a repeated (or, for n = 1, zero) row makes a nonzero codeword zero
+        gen[-1] = gen[0] if n > 1 else 0
+    delta, mode = verify_distance(LinearCode("random", n, m, gen, None, "unverified"))
+    assert mode == "exhaustive"
+    assert delta == _enumerated_delta(gen)
+    if deficient:
+        assert delta == 1.0
+
+
 def test_verify_distance_modes():
-    code = hadamard_code(4)
-    assert verify_distance(code, "exhaustive") == (0.5, "exhaustive")
-    delta, mode = verify_distance(code, "sampled(500)")
-    assert mode == "sampled(500)"
-    assert delta <= 0.5  # sampling can only miss the worst pair
-    with pytest.raises(InputError):
-        verify_distance(code, "nonsense")
+    # one exact check for every n up to the cap; the mode is always exhaustive
+    assert verify_distance(hadamard_code(13)) == (0.5, "exhaustive")
+    assert hadamard_code(16).delta_verified == 0.5
+    assert simplex_code(12).delta_verified == 1 - 2**11 / 4095
+    n = VERIFY_N_CAP + 1
+    wide = LinearCode("identity", n, n, np.eye(n, dtype=np.uint8), None, "unverified")
     with pytest.raises(CapError):
-        verify_distance(hadamard_code(13), "exhaustive")
+        verify_distance(wide)
+    with pytest.raises(CapError):
+        concatenated_code(n, 4)
 
 
 @given(st.integers(2, 5), st.data())

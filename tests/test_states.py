@@ -33,6 +33,14 @@ def test_state_validation():
         StateVector(21, np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_states_rejected(bad):
+    with pytest.raises(InputError):
+        StateVector(1, np.array([bad, 0.0]))
+    with pytest.raises(InputError):
+        DensityMatrix(1, np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 def test_state_json_roundtrip():
     s = StateVector.random(3, RNG)
     back = StateVector.from_json(s.to_json())
