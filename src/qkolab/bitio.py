@@ -5,15 +5,27 @@ from .errors import DecodeError
 
 
 class BitWriter:
-    __slots__ = ("_bits",)
+    """Whole bytes go to a bytearray; fewer than 8 pending bits wait in a
+    small int, so the cost of a write does not grow with the stream."""
+
+    __slots__ = ("_buf", "_acc", "_nacc")
 
     def __init__(self):
-        self._bits: list[int] = []
+        self._buf = bytearray()
+        self._acc = 0  # pending bits, MSB first
+        self._nacc = 0  # count of pending bits, always < 8
 
     def write_uint(self, value: int, width: int) -> None:
-        if value < 0 or (width < 64 and value >> width):
+        if value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        self._bits.extend((value >> (width - 1 - i)) & 1 for i in range(width))
+        acc = (self._acc << width) | value
+        n = self._nacc + width
+        if n >= 8:
+            rest = n & 7
+            self._buf += (acc >> rest).to_bytes(n >> 3, "big")
+            acc &= (1 << rest) - 1
+            n = rest
+        self._acc, self._nacc = acc, n
 
     def write_int(self, value: int, width: int) -> None:
         """Two's-complement signed write."""
@@ -23,19 +35,18 @@ class BitWriter:
         self.write_uint(value & ((1 << width) - 1), width)
 
     def align_to_byte(self) -> None:
-        self._bits.extend([0] * (-len(self._bits) % 8))
+        if self._nacc:
+            self.write_uint(0, 8 - self._nacc)
 
     @property
     def bit_length(self) -> int:
-        return len(self._bits)
+        return 8 * len(self._buf) + self._nacc
 
     def to_bytes(self) -> bytes:
         """Zero-pad to a byte boundary and return the buffer."""
-        bits = self._bits + [0] * (-len(self._bits) % 8)
-        out = bytearray(len(bits) // 8)
-        for i, b in enumerate(bits):
-            out[i >> 3] |= b << (7 - (i & 7))
-        return bytes(out)
+        if not self._nacc:
+            return bytes(self._buf)
+        return bytes(self._buf) + bytes([self._acc << (8 - self._nacc)])
 
 
 class BitReader:
@@ -53,11 +64,9 @@ class BitReader:
         end = self._pos + width
         if end > 8 * len(self._data):
             raise DecodeError("payload truncated", offset=self._pos)
-        value = 0
-        for i in range(self._pos, end):
-            value = (value << 1) | ((self._data[i >> 3] >> (7 - (i & 7))) & 1)
+        covering = int.from_bytes(self._data[self._pos >> 3 : (end + 7) >> 3], "big")
         self._pos = end
-        return value
+        return (covering >> (-end % 8)) & ((1 << width) - 1)
 
     def align_to_byte(self) -> None:
         pad = -self._pos % 8

@@ -5,6 +5,7 @@ the leftmost character.
 """
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -23,12 +24,11 @@ class BitString:
                 raise InputError(f"bit string text may contain only '0'/'1': {bits!r}")
             arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
         else:
-            arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
-            if arr.size and not np.isin(arr, (0, 1)).all():
+            arr = np.asarray(bits if isinstance(bits, np.ndarray) else list(bits))
+            if not ((arr == 0) | (arr == 1)).all():
                 raise InputError("bits must be 0 or 1")
-            arr = arr.astype(np.uint8)
         self._length = int(arr.size)
-        self._packed = np.packbits(arr).tobytes()
+        self._packed = np.packbits(arr.astype(np.uint8, copy=False)).tobytes()
 
     @classmethod
     def _from_packed(cls, packed: bytes, length: int) -> "BitString":
@@ -41,14 +41,16 @@ class BitString:
     def from_packed(cls, packed: bytes, length: int) -> "BitString":
         if length < 0 or len(packed) != (length + 7) // 8:
             raise InputError("packed buffer does not match declared length")
-        arr = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=length)
-        return cls._from_packed(np.packbits(arr).tobytes(), length)
+        return cls.from_int(int.from_bytes(packed, "big") >> (-length % 8), length)
 
     @classmethod
     def from_int(cls, value: int, width: int) -> "BitString":
+        value = operator.index(value)
         if value < 0 or width < 0 or value >> width:
             raise InputError(f"value {value} does not fit in {width} bits")
-        return cls([(value >> (width - 1 - i)) & 1 for i in range(width)])
+        return cls._from_packed(
+            (value << (-width % 8)).to_bytes((width + 7) // 8, "big"), width
+        )
 
     @classmethod
     def zeros(cls, length: int) -> "BitString":
@@ -56,7 +58,9 @@ class BitString:
 
     @classmethod
     def random(cls, length: int, rng: np.random.Generator) -> "BitString":
-        return cls(rng.integers(0, 2, length, dtype=np.uint8))
+        return cls._from_packed(
+            np.packbits(rng.integers(0, 2, length, dtype=np.uint8)).tobytes(), length
+        )
 
     @property
     def length(self) -> int:
@@ -77,7 +81,7 @@ class BitString:
         return int.from_bytes(self._packed, "big") >> (-self._length % 8)
 
     def to_text(self) -> str:
-        return "".join("01"[b] for b in self.bits())
+        return (self.bits() + ord("0")).tobytes().decode("ascii")
 
     def weight(self) -> int:
         return int(self.bits().sum())
@@ -96,10 +100,12 @@ class BitString:
     def __xor__(self, other: "BitString") -> "BitString":
         if self._length != other._length:
             raise InputError("xor requires equal lengths")
-        return BitString(self.bits() ^ other.bits())
+        return BitString.from_int(self.to_int() ^ other.to_int(), self._length)
 
     def __add__(self, other: "BitString") -> "BitString":
-        return BitString(np.concatenate([self.bits(), other.bits()]))
+        return BitString.from_int(
+            (self.to_int() << other._length) | other.to_int(), self._length + other._length
+        )
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .states import StateVector
+from .states import StateVector, _apply_1q
 
 EXACT_BASIS = ("H", "X", "Z", "S", "T", "CNOT")
 QUANTIZED_BASIS = EXACT_BASIS + ("RY", "RZ")
@@ -109,13 +109,6 @@ def apply_circuit(c: Circuit, s0: StateVector) -> StateVector:
         else:
             state = _apply_1q(state, gate_matrix(g), g.targets[0], c.q)
     return StateVector(c.q, state / np.linalg.norm(state))
-
-
-def _apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int, q: int) -> np.ndarray:
-    t = state.reshape([2] * q)
-    t = np.moveaxis(t, qubit, -1)
-    t = t @ matrix.T
-    return np.moveaxis(t, -1, qubit).reshape(-1)
 
 
 def _apply_cnot(state: np.ndarray, control: int, target: int, q: int) -> np.ndarray:

@@ -3,9 +3,8 @@ protocol, complexity, fingerprint, and demon modules.
 
 Outputs are canonical JSON (sorted keys, floats formatted %.12g) or
 RFC-4180 CSV, written atomically. A flat key=value config file can supply
-defaults; command-line flags override it. QKOLAB_THREADS is accepted as a
-parallelism cap; trial loops are order-independent and run sequentially,
-which is the degenerate (and byte-stable) schedule for every thread count.
+defaults; command-line flags override it. Exit codes: 0 success, 2 bad input
+or undecodable data, 3 a resource cap; errors print one `error:` line.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ from .complexity import (
 )
 from .compressor import METHOD_ID
 from .demon import demon_step, multiphoton_ledger
-from .errors import CapError, DecodeError, InputError, QkolabError
+from .errors import CapError, InputError, QkolabError
 from .fingerprint import build_fingerprint, build_hx_circuit, extract_codeword
 from .smp import ExperimentConfig, communication_report, monte_carlo
 from .states import StateVector
@@ -77,12 +76,19 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 def atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
+    """Writes a uniquely named temp file next to path, then renames it over
+    path; the temp file is removed when either step fails."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        fh = open(tmp, "x", newline="")  # "x": never adopt an existing file
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from e
+    try:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except OSError as e:
+        os.unlink(tmp)
         raise InputError(f"cannot write {path}: {e}") from e
 
 
@@ -119,17 +125,6 @@ def emit(report: dict, fmt: str, path: str | None, rows: list[dict] | None = Non
         sys.stdout.write(text)
     else:
         atomic_write(path, text)
-
-
-def _threads() -> int:
-    raw = os.environ.get("QKOLAB_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise InputError(f"QKOLAB_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise InputError("QKOLAB_THREADS must be >= 1")
-    return val
 
 
 def _build_code(args):
@@ -311,8 +306,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _config_echo(args) -> dict:
-    # threads are validated but not echoed: scheduling must not change output
-    _threads()
     skip = {"func", "config"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
@@ -454,9 +447,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (InputError, DecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except QkolabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -152,17 +152,6 @@ def cbe_upper(s: StateVector, eps_a: float) -> ComplexitySurrogate:
     return kcl_upper(quantize_state(s, eps_a).payload)
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
-    subject: str
-    knet_upper_bits: int | None
-    cbe_upper_bits: int | None
-    raw_knet_bits: int | None
-    raw_cbe_bits: int | None
-    eps: float | None
-    method_id: str
-
-
 def purify(r: DensityMatrix) -> StateVector:
     """Same-basis Schmidt-form purification sum_i sqrt(p_i) |u_i>|u_i>."""
     if 2 * r.q > 20:

@@ -77,6 +77,8 @@ def demon_step(
     """
     if not 1 <= m <= DEMON_M_CAP:
         raise CapError(f"m must be in [1, {DEMON_M_CAP}]")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     r = BitString.random(m, rng)
     theta = angle_from_record(r)
@@ -118,6 +120,8 @@ def multiphoton_ledger(
         raise CapError(f"m must be in [1, {DEMON_M_CAP}]")
     if not 0 < eps < 1:
         raise InputError("need 0 < eps < 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     product = EntropyLedger(
         S_in=float(n), I_in=0.0, S_fin=0.0, I_fin=float(n * (m + 1)),
         kB=kB, T=T, strategy="product",

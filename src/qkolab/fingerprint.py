@@ -155,14 +155,11 @@ def quantize_state(s: StateVector, eps_a: float) -> QuantizedDescription:
     header.write_uint(s.q, 16)
     header.write_uint(p, 16)
     header.write_uint(0, 32)
-    header_bits = np.unpackbits(np.frombuffer(header.to_bytes(), dtype=np.uint8))
     body_bits = (
         (unsigned[:, None] >> np.arange(p - 1, -1, -1, dtype=np.uint64)) & 1
     ).astype(np.uint8)
-    bits = np.concatenate([header_bits, body_bits.reshape(-1)])
-    return QuantizedDescription(
-        s.q, p, np.packbits(bits).tobytes(), 2 ** (s.q + 1) * p + HEADER_BITS
-    )
+    payload = header.to_bytes() + np.packbits(body_bits).tobytes()
+    return QuantizedDescription(s.q, p, payload, 2 ** (s.q + 1) * p + HEADER_BITS)
 
 
 def decode_state(d: QuantizedDescription | bytes) -> StateVector:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class Transcript:
     classical_bits: int
     qubits: int
     decision: str
-    rounds: int = 1
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InputError("trials must be >= 1")
+        if self.k < 1:
+            raise InputError("k must be >= 1")
+        if self.s is not None and self.s < 1:
+            raise InputError("s must be >= 1")
         if self.protocol not in (
             "classical",
             "classical-multi",
@@ -66,7 +69,7 @@ def _code_delta(code: LinearCode) -> float:
 
 
 def _index_message(i: int, bit: int, index_bits: int) -> BitString:
-    return BitString.from_int(i, index_bits) + BitString([bit])
+    return BitString.from_int(2 * i + bit, index_bits + 1)
 
 
 def run_classical_equality(
@@ -287,6 +290,10 @@ def communication_report(
     """Closed-form accounting for the Hadamard-code family: the quantum
     protocol sends 2k(n+1) qubits while the classical simulation sends
     2(2^{q+1} p + 64) bits, q = n+1; the ratio column compares their logs."""
+    if k < 1:
+        raise InputError("k must be >= 1")
+    if not 2 <= p <= 62:
+        raise InputError(f"p={p} outside [2, 62], the fixed-point layout's range")
     rows = []
     for n in n_range:
         if n < 1:

@@ -56,12 +56,15 @@ class StateVector:
 
     @classmethod
     def from_json(cls, text: str) -> "StateVector":
-        pairs = json.loads(text)
-        dim = len(pairs)
+        try:
+            amps = np.array([complex(re, im) for re, im in json.loads(text)])
+        except (TypeError, ValueError, RecursionError) as e:
+            raise InputError(f"statevector JSON must be a list of [re, im] pairs: {e}") from e
+        dim = len(amps)
         q = dim.bit_length() - 1
         if 2**q != dim:
             raise InputError(f"amplitude count {dim} is not a power of two")
-        return cls(q, np.array([complex(re, im) for re, im in pairs]))
+        return cls(q, amps)
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,6 @@ def swap_test(a: StateVector, b: StateVector) -> tuple[float, float]:
     """Closed-form ancilla outcome distribution (P(0), P(1))."""
     p0 = (1.0 + fidelity(a, b)) / 2.0
     return p0, 1.0 - p0
-
-
-def swap_test_sample(
-    a: StateVector, b: StateVector, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """k independent ancilla outcomes drawn from the closed form."""
-    _, p1 = swap_test(a, b)
-    return sample_swap_outcomes(p1, k, rng)
 
 
 def sample_swap_outcomes(p1: float, k: int, rng: np.random.Generator) -> np.ndarray:

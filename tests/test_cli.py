@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkolab.cli import canonical_json, main
 
@@ -159,3 +163,137 @@ def test_canonical_json_formatting():
 def test_atomic_write_leaves_no_temp(tmp_path):
     _, _ = run(HADAMARD_VERIFY, tmp_path, "x.json")
     assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+
+def assert_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["not json", "[[1, 0], [0]]", '"ab"', "5", '[["1", 0], [0, 0]]', "[]",
+     "[" * 100_000 + "]" * 100_000],
+    ids=["not-json", "short-pair", "string", "number", "string-part", "empty", "deep"],
+)
+def test_malformed_state_json_exits_2(tmp_path, capsys, text):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    assert_exit_2(
+        ["fingerprint", "extract", "--code", "hadamard", "--n", "2", "--state", str(state)],
+        capsys,
+    )
+
+
+def test_negative_demon_seed_exits_2(capsys):
+    assert_exit_2(["demon", "run", "--m", "4", "--seed", "-5"], capsys)
+    assert_exit_2(
+        ["demon", "multi", "--n", "2", "--m", "3", "--eps", "0.0625", "--seed", "-5"], capsys
+    )
+
+
+def test_zero_indices_per_party_exits_2(capsys):
+    assert_exit_2(
+        ["equality", "--protocol", "classical-multi", "--n", "3", "--s", "0",
+         "--trials", "10", "--seed", "1"],
+        capsys,
+    )
+
+
+@pytest.mark.parametrize("protocol", ["classical", "classical-multi", "quantum", "classical-sim"])
+def test_zero_copies_exits_2(capsys, protocol):
+    assert_exit_2(
+        ["equality", "--protocol", protocol, "--n", "3", "--k", "0", "--trials", "10",
+         "--seed", "1", "--eps-a", "0.01"],
+        capsys,
+    )
+
+
+@pytest.mark.parametrize("flags", [["--p", "0"], ["--p", "1"], ["--p", "63"], ["--k", "0"]])
+def test_sweep_bad_precision_or_copies_exits_2(capsys, flags):
+    assert_exit_2(["sweep", "--n-min", "1", "--n-max", "3"] + flags, capsys)
+
+
+def test_atomic_write_uses_unique_temp_and_cleans_up(tmp_path, capsys):
+    (tmp_path / "x.json.tmp").mkdir()  # the old fixed temp name is taken
+    code, data = run(HADAMARD_VERIFY, tmp_path, "x.json")
+    assert code == 0 and json.loads(data)["delta_verified"] == 0.5
+    target = tmp_path / "dir"
+    target.mkdir()  # renaming a file over a directory fails
+    assert_exit_2(HADAMARD_VERIFY + ["--out", str(target)], capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "x.json", "x.json.tmp"]
+
+
+@pytest.fixture(scope="module")
+def state_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("states")
+    assert main(["fingerprint", "build", "--n", "2", "--x", "10",
+                 "--out", str(root / "good.json")]) == 0
+    (root / "bad.json").write_text("[[1, 0], [0]]")
+    return [str(root / "good.json"), str(root / "bad.json"), str(root / "missing.json")]
+
+
+def _req(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+def _opt(name, values):
+    return st.one_of(st.just([]), _req(name, values))
+
+
+SMALL = st.integers(-1, 4)
+SEEDS = st.integers(-5, 5)
+REALS = st.sampled_from(["-1", "0", "1e-300", "0.0625", "0.5", "1", "2", "nan", "inf"])
+BITS_TEXT = st.text("01x", max_size=5)
+
+
+def _argv_grammar(state_paths):
+    """Every subcommand with its required flags present, their values and
+    the optional flags drawn from small ranges that include invalid ones."""
+    choice = st.sampled_from
+    code = st.tuples(
+        _opt("--code", choice(["hadamard", "simplex", "concatenated"])),
+        _req("--n", SMALL), _opt("--c", SMALL),
+    ).map(lambda parts: sum(parts, []))
+    fmt = _opt("--format", choice(["json", "csv"]))
+    commands = [
+        st.tuples(st.just(["codes", "verify"]), code,
+                  _opt("--mode", choice(["exhaustive", "sampled"])), fmt),
+        st.tuples(
+            st.just(["equality"]),
+            _req("--protocol", choice(["classical", "classical-multi", "quantum", "classical-sim"])),
+            code, _opt("--k", SMALL), _opt("--s", SMALL),
+            _req("--trials", st.integers(-1, 20)), _req("--seed", SEEDS),
+            _opt("--eps-a", REALS), _opt("--mode", choice(["threshold", "sampled"])),
+            _opt("--inputs", choice(["random-unequal", "random-equal"])), fmt,
+        ),
+        st.tuples(st.just(["complexity", "report"]), _req("--target", choice(["bell", "fingerprint"])),
+                  _req("--n", SMALL), _opt("--x", BITS_TEXT), _opt("--eps-a", REALS), fmt),
+        st.tuples(st.just(["fingerprint", "build"]), code, _req("--x", BITS_TEXT)),
+        st.tuples(st.just(["fingerprint", "extract"]), code,
+                  _req("--state", choice(state_paths)), fmt),
+        st.tuples(st.just(["demon", "run"]), _req("--m", st.integers(-1, 65)),
+                  _req("--seed", SEEDS), _opt("--kB", REALS), _opt("--T", REALS), fmt),
+        st.tuples(st.just(["demon", "multi"]), _req("--n", SMALL), _req("--m", st.integers(-1, 65)),
+                  _req("--eps", REALS), _opt("--mode", choice(["formula", "simulated"])),
+                  _opt("--seed", SEEDS), _opt("--T", REALS), fmt),
+        st.tuples(st.just(["sweep"]), _req("--n-min", SMALL), _req("--n-max", SMALL),
+                  _opt("--k", SMALL), _opt("--p", st.integers(-1, 64)), fmt),
+    ]
+    return st.one_of(commands).map(lambda parts: sum(parts, []))
+
+
+def test_cli_fuzz_exits_cleanly(state_files):
+    @settings(max_examples=150, deadline=None)
+    @given(_argv_grammar(state_files))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert "error:" in err.getvalue() or "usage:" in err.getvalue()
+
+    check()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from qkolab.complexity import (
 )
 from qkolab.compressor import HEADER_BITS
 from qkolab.errors import DecodeError, InputError
-from qkolab.fingerprint import build_hx_circuit
+from qkolab.fingerprint import build_fingerprint, build_hx_circuit, quantize_state
 from qkolab.states import DensityMatrix, StateVector, partial_trace
 
 RNG = np.random.default_rng(303)
@@ -46,6 +47,20 @@ def test_hand_encoding_oracle():
     e = encode_circuit(c)
     assert e.payload == bytes.fromhex("020002000000000002") + bytes([0x04, 0x19])
     assert decode_circuit(e) == c
+
+
+def test_frozen_payload_hashes():
+    code, x = hadamard_code(4), BitString("1011")
+    payloads = {
+        "bell500": encode_circuit(bell_pair_circuit(500)).payload,
+        "hx": encode_circuit(build_hx_circuit(code, x)).payload,
+        "fixed-point": quantize_state(build_fingerprint(code, x).state, 2.0**-16).payload,
+    }
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in payloads.items()} == {
+        "bell500": "a43006281150f98cdbc69575c7eb1f341047cb80548cff91e202cbea4b053b59",
+        "hx": "a2e50fd1d80c43f79a5544862166e7ebc52dc5e9b33db95cd7df067757a7ee94",
+        "fixed-point": "47e1c5247f049c1255a7a313b67b121af6069d0d8f0b1bc39e8cc4ed92eedddf",
+    }
 
 
 def test_roundtrip_with_angles():
