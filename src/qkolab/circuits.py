@@ -1,6 +1,10 @@
 """Gates, circuits, exact unitary application, and the multi-controlled-X
 decomposition used by the fingerprint preparation circuits.
 
+``apply_circuit`` runs every gate through the ``states`` kernels: a 1-qubit
+gate is one matmul on a reshape view (qubit 0 is the most significant index
+bit), and a CNOT flips the target axis of the control = 1 half.
+
 Two bases are declared. The exact-finite basis is {H, X, Z, S, T, CNOT}.
 The quantized-rotation extension adds RY/RZ whose angles live on a 2^p-point
 grid over [0, 2*pi); p is recorded on the circuit so encodings are bit-exact.
@@ -14,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .states import StateVector, _apply_1q
+from .states import StateVector, _apply_1q, _apply_controlled
 
 EXACT_BASIS = ("H", "X", "Z", "S", "T", "CNOT")
 QUANTIZED_BASIS = EXACT_BASIS + ("RY", "RZ")
@@ -102,22 +106,14 @@ def apply_circuit(c: Circuit, s0: StateVector) -> StateVector:
     """Exact gate-by-gate unitary action; norm is preserved."""
     if c.q != s0.q:
         raise InputError(f"circuit has {c.q} qubits, state has {s0.q}")
-    state = s0.amplitudes.copy()
+    state = s0.amplitudes
     for g in c.gates:
         if g.name == "CNOT":
-            state = _apply_cnot(state, g.targets[0], g.targets[1], c.q)
+            control, target = g.targets
+            state = _apply_controlled(state, control, c.q, lambda t: np.flip(t, target))
         else:
-            state = _apply_1q(state, gate_matrix(g), g.targets[0], c.q)
+            state = _apply_1q(state, gate_matrix(g), g.targets[0])
     return StateVector(c.q, state / np.linalg.norm(state))
-
-
-def _apply_cnot(state: np.ndarray, control: int, target: int, q: int) -> np.ndarray:
-    t = state.reshape([2] * q).copy()
-    idx = [slice(None)] * q
-    idx[control] = 1
-    axis = target - (target > control)
-    t[tuple(idx)] = np.flip(t[tuple(idx)], axis=axis)
-    return t.reshape(-1)
 
 
 def _cphase(control: int, target: int, theta: float, p: int) -> list[Gate]:

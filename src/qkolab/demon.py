@@ -177,14 +177,16 @@ def background_information_report(
     """
     if setting not in _SETTINGS:
         raise InputError(f"unknown setting {setting!r}")
+    if not 1 <= m <= DEMON_M_CAP:
+        raise CapError(f"m must be in [1, {DEMON_M_CAP}]")
+    if setting != "single" and (n is None or not 1 <= n < 2**64):
+        raise InputError("multi-photon settings need n in [1, 2^64)")
     w = BitWriter()
     w.write_uint(_FORMAT_TAG, 16)
     w.write_uint(_SETTINGS[setting], 8)
     w.write_uint(m, 64)
     if setting == "single":
         return BackgroundReport(setting, w.bit_length)
-    if n is None or n < 1:
-        raise InputError("multi-photon settings need n >= 1")
     w.write_uint(n, 64)
     if setting == "multi-product":
         return BackgroundReport(setting, w.bit_length)

@@ -1,7 +1,9 @@
 """Exact statevector and density-matrix simulation primitives.
 
 Conventions: qubit 0 is the most significant bit of the computational basis
-rank; a q-qubit statevector has 2^q complex amplitudes. Global tolerances:
+rank; a q-qubit statevector has 2^q complex amplitudes. Every gate, here and
+in ``circuits``, is applied through one reshape view of the state; a
+controlled gate permutes the control = 1 half. Global tolerances:
 1e-10 for normalization, 1e-9 eigenvalue floor, 1e-12 for analytic
 identities.
 """
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .compressor import kcl_upper
 from .errors import CapError, InputError
 
 NORM_TOL = 1e-10
@@ -21,14 +24,21 @@ DENSITY_QUBIT_CAP = 10
 POVM_QUBIT_CAP = 8
 
 
+def _check_qubits(q: int, cap: int) -> None:
+    """Bad input below one qubit, a cap above; callers check before allocating."""
+    if q < 1:
+        raise InputError(f"qubit count {q} must be at least 1")
+    if q > cap:
+        raise CapError(f"qubit count {q} exceeds the cap of {cap}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     q: int
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.q <= STATE_QUBIT_CAP:
-            raise CapError(f"qubit count {self.q} outside [1, {STATE_QUBIT_CAP}]")
+        _check_qubits(self.q, STATE_QUBIT_CAP)
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**self.q,):
             raise InputError(f"expected {2**self.q} amplitudes, got {amps.shape}")
@@ -73,8 +83,7 @@ class DensityMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.q <= DENSITY_QUBIT_CAP:
-            raise CapError(f"qubit count {self.q} outside [1, {DENSITY_QUBIT_CAP}]")
+        _check_qubits(self.q, DENSITY_QUBIT_CAP)
         mat = np.ascontiguousarray(self.entries, dtype=np.complex128)
         dim = 2**self.q
         if mat.shape != (dim, dim):
@@ -90,10 +99,12 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, s: StateVector) -> "DensityMatrix":
+        _check_qubits(s.q, DENSITY_QUBIT_CAP)
         return cls(s.q, np.outer(s.amplitudes, s.amplitudes.conj()))
 
     @classmethod
     def maximally_mixed(cls, q: int) -> "DensityMatrix":
+        _check_qubits(q, DENSITY_QUBIT_CAP)
         return cls(q, np.eye(2**q) / 2**q)
 
 
@@ -126,11 +137,14 @@ def swap_test_circuit(a: StateVector, b: StateVector) -> tuple[float, float]:
         raise InputError(f"dimension mismatch: {a.q} vs {b.q} qubits")
     q = a.q
     total = 2 * q + 1
+    _check_qubits(total, STATE_QUBIT_CAP)
     state = np.kron([1.0 + 0j, 0.0], np.kron(a.amplitudes, b.amplitudes))
-    state = _apply_1q(state, _HADAMARD, 0, total)
+    state = _apply_1q(state, _HADAMARD, 0)
     for i in range(q):
-        state = _controlled_swap(state, 0, 1 + i, 1 + q + i, total)
-    state = _apply_1q(state, _HADAMARD, 0, total)
+        state = _apply_controlled(
+            state, 0, total, lambda t: np.swapaxes(t, 1 + i, 1 + q + i)
+        )
+    state = _apply_1q(state, _HADAMARD, 0)
     probs = np.abs(state.reshape(2, -1)) ** 2
     p0 = float(probs[0].sum())
     return p0, 1.0 - p0
@@ -139,25 +153,21 @@ def swap_test_circuit(a: StateVector, b: StateVector) -> tuple[float, float]:
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 
 
-def _apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int, q: int) -> np.ndarray:
+# The two gate kernels. Qubit i is axis i of the state viewed as a q-axis
+# tensor, so qubit 0 is the most significant index bit. Neither writes its
+# input, and both stay private so a traced run does not span every gate.
+def _apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
+    return (matrix @ state.reshape(2**qubit, 2, -1)).reshape(-1)
+
+
+def _apply_controlled(state: np.ndarray, control: int, q: int, permute) -> np.ndarray:
+    """Copy of state whose control = 1 half is taken from permute(t), an axis
+    permutation (np.flip, np.swapaxes) of the q-axis view t."""
     t = state.reshape([2] * q)
-    t = np.moveaxis(t, qubit, -1)
-    t = t @ matrix.T
-    return np.moveaxis(t, -1, qubit).reshape(-1)
-
-
-def _controlled_swap(
-    state: np.ndarray, control: int, q1: int, q2: int, q: int
-) -> np.ndarray:
-    t = state.reshape([2] * q).copy()
-    idx = [slice(None)] * q
-    idx[control] = 1
-    block = t[tuple(idx)]
-    # axes shift down by one for qubits past the control
-    a1 = q1 - (q1 > control)
-    a2 = q2 - (q2 > control)
-    t[tuple(idx)] = np.swapaxes(block, a1, a2)
-    return t.reshape(-1)
+    out = t.copy()
+    half = (slice(None),) * control + (1,)
+    out[half] = permute(t)[half]
+    return out.reshape(-1)
 
 
 def partial_trace(state, keep) -> DensityMatrix:
@@ -261,8 +271,6 @@ def povm_outcome_distribution(s: StateVector) -> PovmDistribution:
     Outcome index is base-4, qubit 0 most significant. Since every element
     is rank one, p_k = |<v_k1 ... v_kq | s>|^2 / 2^q.
     """
-    from .compressor import kcl_upper  # local import to avoid a cycle
-
     if s.q > POVM_QUBIT_CAP:
         raise CapError(f"POVM distribution capped at q <= {POVM_QUBIT_CAP}")
     basis = np.array([_bloch_state(d) for d in _TETRA_DIRECTIONS])  # 4 x 2

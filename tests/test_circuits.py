@@ -103,7 +103,7 @@ def test_multi_controlled_x_validation():
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_apply_circuit_matches_kron_oracle(data):
-    q = data.draw(st.integers(1, 3))
+    q = data.draw(st.integers(1, 5))
     gates = []
     for _ in range(data.draw(st.integers(0, 6))):
         name = data.draw(st.sampled_from(["H", "X", "Z", "S", "T", "CNOT", "RY", "RZ"]))

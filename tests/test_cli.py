@@ -174,8 +174,9 @@ def assert_exit_2(argv, capsys):
 @pytest.mark.parametrize(
     "text",
     ["not json", "[[1, 0], [0]]", '"ab"', "5", '[["1", 0], [0, 0]]', "[]",
-     "[" * 100_000 + "]" * 100_000],
-    ids=["not-json", "short-pair", "string", "number", "string-part", "empty", "deep"],
+     "[" * 100_000 + "]" * 100_000, "[[1, 0]]"],
+    ids=["not-json", "short-pair", "string", "number", "string-part", "empty", "deep",
+         "one-amplitude"],
 )
 def test_malformed_state_json_exits_2(tmp_path, capsys, text):
     state = tmp_path / "state.json"

@@ -103,3 +103,12 @@ def test_background_report_projection_dominated_by_state():
     assert rep.cbe_bits >= 0.9 * rep.raw_cbe_bits
     assert rep.descriptor_bits > rep.cbe_bits
     assert rep.surrogate_method is not None
+
+
+def test_background_report_rejects_out_of_range_integers():
+    with pytest.raises(CapError):
+        background_information_report("single", 2**64)
+    with pytest.raises(CapError):
+        background_information_report("single", -1)
+    with pytest.raises(InputError):
+        background_information_report("multi-product", 8, n=2**64)

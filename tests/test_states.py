@@ -31,6 +31,8 @@ def test_state_validation():
         StateVector(2, np.array([1.0, 0.0]))  # wrong dimension
     with pytest.raises(CapError):
         StateVector(21, np.zeros(2))
+    with pytest.raises(InputError):
+        StateVector(0, np.ones(1))  # below one qubit is bad input, not a cap
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -48,6 +50,17 @@ def test_state_json_roundtrip():
     assert np.allclose(back.amplitudes, s.amplitudes)
 
 
+def test_caps_checked_before_allocation():
+    # each raises before allocating its 32-64 MiB array
+    a = StateVector.computational(10)
+    with pytest.raises(CapError):
+        swap_test_circuit(a, a)
+    with pytest.raises(CapError):
+        DensityMatrix.from_pure(StateVector.computational(11))
+    with pytest.raises(CapError):
+        DensityMatrix.maximally_mixed(11)
+
+
 def test_density_validation():
     with pytest.raises(InputError):
         DensityMatrix(1, np.array([[1.0, 1.0], [0.0, 0.0]]))  # not Hermitian
@@ -55,6 +68,8 @@ def test_density_validation():
         DensityMatrix(1, np.eye(2))  # trace 2
     with pytest.raises(InputError):
         DensityMatrix(1, np.diag([1.5, -0.5]))  # not PSD
+    with pytest.raises(InputError):
+        DensityMatrix(0, np.ones((1, 1)))
 
 
 def test_swap_test_closed_form_on_known_pairs():
@@ -67,7 +82,7 @@ def test_swap_test_closed_form_on_known_pairs():
     assert abs(p0 - 0.75) < 1e-12
 
 
-@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 def test_swap_test_circuit_matches_closed_form(q):
     for _ in range(25):
         a, b = StateVector.random(q, RNG), StateVector.random(q, RNG)
