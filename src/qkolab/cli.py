@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import sys
@@ -32,36 +33,21 @@ from .compressor import METHOD_ID
 from .demon import demon_step, multiphoton_ledger
 from .errors import CapError, InputError, QkolabError
 from .fingerprint import build_fingerprint, build_hx_circuit, extract_codeword
-from .smp import ExperimentConfig, communication_report, monte_carlo
+from .smp import INPUT_POLICIES, PROTOCOLS, SIM_MODES, ExperimentConfig
+from .smp import communication_report, monte_carlo
 from .states import StateVector
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, %.12g floats, no locale surprises."""
+    """Deterministic JSON: sorted keys, %.12g floats, and json.dumps for
+    null, booleans, ints and strings (non-ASCII kept, JSON's escapes)."""
     pad = " " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise InputError("non-finite float in report")
         return "%.12g" % obj
-    if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch in '"\\':
-                out.append("\\" + ch)
-            elif ord(ch) < 0x20:
-                out.append("\\u%04x" % ord(ch))
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
     if isinstance(obj, dict):
         items = sorted(obj.items())
         inner = ",".join(
@@ -192,7 +178,7 @@ def _cmd_complexity_report(args) -> int:
         code = hadamard_code(args.n)
         x = _parse_bits(args.x, args.n)
         circuit = build_hx_circuit(code, x)
-        state = build_fingerprint(code, x).state
+        state = build_fingerprint(code, x)
     else:
         raise InputError(f"unknown target {args.target!r}")
     knet = knet_upper(circuit)
@@ -224,11 +210,11 @@ def _parse_bits(text: str | None, n: int) -> BitString:
 
 def _cmd_fingerprint_build(args) -> int:
     code = _build_code(args)
-    fp = build_fingerprint(code, _parse_bits(args.x, code.n))
+    text = build_fingerprint(code, _parse_bits(args.x, code.n)).to_json() + "\n"
     if args.out is None:
-        sys.stdout.write(fp.state.to_json() + "\n")
+        sys.stdout.write(text)
     else:
-        atomic_write(args.out, fp.state.to_json() + "\n")
+        atomic_write(args.out, text)
     return 0
 
 
@@ -251,19 +237,11 @@ def _cmd_fingerprint_extract(args) -> int:
 
 
 def _ledger_dict(ledger, n: int, m: int) -> dict:
-    return {
+    return asdict(ledger) | {
         "n": n,
         "m": m,
-        "strategy": ledger.strategy,
-        "S_in": ledger.S_in,
-        "I_in": ledger.I_in,
-        "S_fin": ledger.S_fin,
-        "I_fin": ledger.I_fin,
         "delta_total_bits": ledger.delta_total,
         "work_joules": ledger.work_joules,
-        "kB": ledger.kB,
-        "T": ledger.T,
-        "surrogate_method": ledger.surrogate_method,
     }
 
 
@@ -339,21 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     cv.set_defaults(func=_cmd_codes_verify)
 
     eq = sub.add_parser("equality")
-    eq.add_argument(
-        "--protocol",
-        choices=("classical", "classical-multi", "quantum", "classical-sim"),
-        required=True,
-    )
+    eq.add_argument("--protocol", choices=PROTOCOLS, required=True)
     _add_code_flags(eq)
     eq.add_argument("--k", type=int, default=1)
     eq.add_argument("--s", type=int, default=None)
     eq.add_argument("--trials", type=int, required=True)
     eq.add_argument("--seed", type=int, required=True)
     eq.add_argument("--eps-a", dest="eps_a", type=float, default=None)
-    eq.add_argument("--mode", choices=("threshold", "sampled"), default="threshold")
-    eq.add_argument(
-        "--inputs", choices=("random-unequal", "random-equal"), default="random-unequal"
-    )
+    eq.add_argument("--mode", choices=SIM_MODES, default=ExperimentConfig.mode)
+    eq.add_argument("--inputs", choices=INPUT_POLICIES, default=ExperimentConfig.inputs)
     _add_common(eq)
     eq.set_defaults(func=_cmd_equality)
 

@@ -38,8 +38,10 @@ from .compressor import ComplexitySurrogate, kcl_upper
 from .errors import CapError, DecodeError, InputError
 from .fingerprint import quantize_state
 from .states import (
+    STATE_QUBIT_CAP,
     DensityMatrix,
     StateVector,
+    _check_qubits,
     partial_trace,
     uhlmann_fidelity,
 )
@@ -154,15 +156,9 @@ def cbe_upper(s: StateVector, eps_a: float) -> ComplexitySurrogate:
 
 def purify(r: DensityMatrix) -> StateVector:
     """Same-basis Schmidt-form purification sum_i sqrt(p_i) |u_i>|u_i>."""
-    if 2 * r.q > 20:
-        raise CapError(f"purification of {r.q} qubits needs {2 * r.q} > 20 qubits")
+    _check_qubits(2 * r.q, STATE_QUBIT_CAP)
     vals, vecs = np.linalg.eigh(r.entries)
-    vals = np.clip(vals, 0.0, None)
-    dim = 2**r.q
-    amps = np.zeros(dim * dim, dtype=np.complex128)
-    for i in range(dim):
-        if vals[i] > 0:
-            amps += math.sqrt(vals[i]) * np.kron(vecs[:, i], vecs[:, i])
+    amps = ((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T).reshape(-1)
     return StateVector(2 * r.q, amps / np.linalg.norm(amps))
 
 

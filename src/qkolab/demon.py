@@ -57,6 +57,16 @@ class EntropyLedger:
         return self.delta_total * self.kB * self.T * math.log(2.0)
 
 
+def _check_m(m: int) -> None:
+    if not 1 <= m <= DEMON_M_CAP:
+        raise CapError(f"m must be in [1, {DEMON_M_CAP}]")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+
+
 def angle_from_record(r: BitString) -> float:
     """theta_k = k * pi / 2^m, k read from r most significant bit first."""
     m = len(r)
@@ -75,10 +85,8 @@ def demon_step(
     is converted into an (m+1)-bit record, so the ledger balance is m bits
     and the associated work is m*kB*T*ln2.
     """
-    if not 1 <= m <= DEMON_M_CAP:
-        raise CapError(f"m must be in [1, {DEMON_M_CAP}]")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    _check_m(m)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     r = BitString.random(m, rng)
     theta = angle_from_record(r)
@@ -116,12 +124,10 @@ def multiphoton_ledger(
     simulated mode books the compressed length of an actual amplitude-list
     description of a seeded random projection target.
     """
-    if not 1 <= m <= DEMON_M_CAP:
-        raise CapError(f"m must be in [1, {DEMON_M_CAP}]")
+    _check_m(m)
     if not 0 < eps < 1:
         raise InputError("need 0 < eps < 1")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     product = EntropyLedger(
         S_in=float(n), I_in=0.0, S_fin=0.0, I_fin=float(n * (m + 1)),
         kB=kB, T=T, strategy="product",
@@ -177,8 +183,7 @@ def background_information_report(
     """
     if setting not in _SETTINGS:
         raise InputError(f"unknown setting {setting!r}")
-    if not 1 <= m <= DEMON_M_CAP:
-        raise CapError(f"m must be in [1, {DEMON_M_CAP}]")
+    _check_m(m)
     if setting != "single" and (n is None or not 1 <= n < 2**64):
         raise InputError("multi-photon settings need n in [1, 2^64)")
     w = BitWriter()

@@ -2,8 +2,9 @@
 preparation circuit, codeword extraction, and fixed-point state descriptions.
 
 A fingerprint for message x is the uniform superposition of |i>|E_i(x)>
-over the m codeword positions, on ceil(log2 m) index qubits plus one value
-qubit (the least significant).
+over the m codeword positions, on ceil(log2 m) index qubits (at least one)
+plus one value qubit (the least significant). The register width and the
+fixed-point description length are defined here alone; ``smp`` reads them.
 """
 from __future__ import annotations
 
@@ -22,32 +23,40 @@ from .circuits import (
 )
 from .codes import LinearCode, decode_message, encode
 from .errors import CapError, DecodeError, InputError
-from .states import STATE_QUBIT_CAP, NORM_TOL, StateVector, fidelity
+from .states import STATE_QUBIT_CAP, NORM_TOL, StateVector, _check_qubits, fidelity
+
+HEADER_BITS = 64  # 16-bit q, 16-bit p, 32-bit reserved
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    x: BitString
-    code: LinearCode
-    state: StateVector
-    M: int  # qubit count = ceil(log2 m) + 1
+# The two layout facts. Both run once per protocol trial, so they stay
+# private: a traced run spans every public function call.
+def _fingerprint_qubits(m: int) -> int:
+    """Qubits of a fingerprint over m positions: ceil(log2 m) index qubits,
+    at least one, plus the value qubit. It is also the width of one
+    (position, codeword bit) message of the classical index protocols."""
+    return max(1, (m - 1).bit_length()) + 1
 
 
-def build_fingerprint(code: LinearCode, x: BitString) -> Fingerprint:
+def _description_bits(q: int, p: int) -> int:
+    """Length of the fixed-point description of a q-qubit state at p bits per
+    real component, header included and byte padding excluded."""
+    if not 2 <= p <= 62:
+        raise InputError(f"p={p} outside [2, 62], the fixed-point layout's range")
+    return 2 ** (q + 1) * p + HEADER_BITS
+
+
+def build_fingerprint(code: LinearCode, x: BitString) -> StateVector:
     """Exact statevector with amplitude 1/sqrt(m) on the m states |i>|E_i(x)>.
 
     For codes whose m is not a power of two the amplitudes above index m
     are zero; the overlap law is unchanged.
     """
     word = encode(code, x)
-    k = max(1, math.ceil(math.log2(code.m)))
-    q = k + 1
-    if q > STATE_QUBIT_CAP:
-        raise CapError(f"fingerprint would need {q} qubits (cap {STATE_QUBIT_CAP})")
+    q = _fingerprint_qubits(code.m)
+    _check_qubits(q, STATE_QUBIT_CAP)
     amps = np.zeros(2**q, dtype=np.complex128)
-    bits = word.bits()
-    amps[2 * np.arange(code.m) + bits] = 1.0 / math.sqrt(code.m)
-    return Fingerprint(x, code, StateVector(q, amps), q)
+    amps[2 * np.arange(code.m) + word.bits()] = 1.0 / math.sqrt(code.m)
+    return StateVector(q, amps)
 
 
 def overlap(code: LinearCode, x: BitString, y: BitString) -> float:
@@ -62,16 +71,18 @@ def build_hx_circuit(
     """Preparation circuit: Hadamards on the index qubits, then one
     multi-controlled X onto the value qubit per position carrying a 1.
 
-    Requires m to be an exact power of two. Controls matching a 0 bit of the
+    Requires m to fill the index register: a power of two, at least 2, since
+    the register has at least one qubit. Controls matching a 0 bit of the
     position index are X-conjugated. The multi-controlled X uses the frozen
     ancilla-free decomposition (see circuits.MCX_DECOMPOSITION_ID), which
     needs the quantized-rotation basis for two or more controls.
     """
     word = encode(code, x)
-    k = int(math.log2(code.m))
+    q = _fingerprint_qubits(code.m)
+    k = q - 1
     if 2**k != code.m:
-        raise InputError(f"m={code.m} is not a power of two; build the state directly")
-    q = k + 1
+        raise InputError(f"m={code.m} does not fill a {k}-qubit index register; "
+                         "build the state directly")
     gates: list[Gate] = [Gate("H", (j,)) for j in range(k)]
     for i in range(code.m):
         if not word[i]:
@@ -101,9 +112,9 @@ def extract_codeword(state: StateVector, code: LinearCode) -> ExtractionResult:
     The read word is then membership-tested against the code; it is never
     error-corrected toward a different codeword.
     """
-    k = max(1, math.ceil(math.log2(code.m)))
-    if state.q != k + 1:
-        raise InputError(f"state has {state.q} qubits, fingerprints for this code need {k + 1}")
+    q = _fingerprint_qubits(code.m)
+    if state.q != q:
+        raise InputError(f"state has {state.q} qubits, fingerprints for this code need {q}")
     mass = (np.abs(state.amplitudes) ** 2).reshape(-1, 2)[: code.m]
     totals = mass.sum(axis=1)
     zeros = BitString.zeros(code.m)
@@ -116,11 +127,8 @@ def extract_codeword(state: StateVector, code: LinearCode) -> ExtractionResult:
     message = decode_message(code, word)
     if message is None:
         return ExtractionResult(word, "not_a_codeword")
-    exact = fidelity(state, build_fingerprint(code, message).state) >= 1.0 - 1e-10
+    exact = fidelity(state, build_fingerprint(code, message)) >= 1.0 - 1e-10
     return ExtractionResult(word, "exact" if exact else "corrected", message)
-
-
-HEADER_BITS = 64  # 16-bit q, 16-bit p, 32-bit reserved
 
 
 @dataclass(frozen=True)
@@ -128,7 +136,7 @@ class QuantizedDescription:
     q: int
     p: int  # bits per real component
     payload: bytes = field(repr=False)
-    length_bits: int  # 2 * 2^q * p + HEADER_BITS, excludes byte padding
+    length_bits: int  # _description_bits(q, p)
 
 
 def quantize_state(s: StateVector, eps_a: float) -> QuantizedDescription:
@@ -141,11 +149,8 @@ def quantize_state(s: StateVector, eps_a: float) -> QuantizedDescription:
     """
     if not 0 < eps_a < 1:
         raise InputError(f"need 0 < eps_a < 1, got {eps_a}")
-    p = math.ceil(math.log2(1.0 / eps_a))
-    if p < 2:
-        p = 2
-    if p > 62:
-        raise InputError(f"p={p} exceeds 62 bits per component")
+    p = max(2, math.ceil(math.log2(1.0 / eps_a)))
+    length = _description_bits(s.q, p)
     scale = 2.0 ** (p - 1)
     lo, hi = -(2 ** (p - 1)), 2 ** (p - 1) - 1
     reals = np.concatenate([s.amplitudes.real, s.amplitudes.imag])
@@ -159,7 +164,7 @@ def quantize_state(s: StateVector, eps_a: float) -> QuantizedDescription:
         (unsigned[:, None] >> np.arange(p - 1, -1, -1, dtype=np.uint64)) & 1
     ).astype(np.uint8)
     payload = header.to_bytes() + np.packbits(body_bits).tobytes()
-    return QuantizedDescription(s.q, p, payload, 2 ** (s.q + 1) * p + HEADER_BITS)
+    return QuantizedDescription(s.q, p, payload, length)
 
 
 def decode_state(d: QuantizedDescription | bytes) -> StateVector:
@@ -170,13 +175,16 @@ def decode_state(d: QuantizedDescription | bytes) -> StateVector:
     p = reader.read_uint(16)
     if reader.read_uint(32):
         raise DecodeError("reserved field is nonzero", offset=32)
-    if not 1 <= q <= STATE_QUBIT_CAP or not 2 <= p <= 62:
-        raise DecodeError(f"implausible header q={q}, p={p}", offset=0)
+    try:
+        _check_qubits(q, STATE_QUBIT_CAP)
+        length = _description_bits(q, p)
+    except (CapError, InputError):
+        raise DecodeError(f"implausible header q={q}, p={p}", offset=0) from None
     dim = 2**q
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    if bits.size < HEADER_BITS + 2 * dim * p:
+    if bits.size < length:
         raise DecodeError("payload truncated", offset=bits.size)
-    body = bits[HEADER_BITS : HEADER_BITS + 2 * dim * p].reshape(2 * dim, p)
+    body = bits[HEADER_BITS:length].reshape(2 * dim, p)
     unsigned = (body.astype(np.int64) << np.arange(p - 1, -1, -1)).sum(axis=1)
     vals = np.where(unsigned >= 1 << (p - 1), unsigned - (1 << p), unsigned).astype(
         np.float64

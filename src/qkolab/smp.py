@@ -2,6 +2,8 @@
 randomized index protocols, the quantum fingerprint protocol with SWAP-test
 amplification, and its classical simulation by quantized state descriptions.
 Includes the Monte Carlo harness and closed-form communication accounting.
+Register widths and description lengths are read from ``fingerprint``, and
+the protocol, mode and input-policy tables here are what the CLI offers.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ import numpy as np
 from .bits import BitString
 from .codes import LinearCode, encode
 from .errors import InputError
-from .fingerprint import build_fingerprint, overlap, quantize_state, decode_state
+from .fingerprint import _description_bits, _fingerprint_qubits, build_fingerprint
+from .fingerprint import decode_state, overlap, quantize_state
 from .states import sample_swap_outcomes
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -35,14 +38,14 @@ class Transcript:
 @dataclass(frozen=True)
 class ExperimentConfig:
     code: LinearCode
-    protocol: str  # "classical" | "classical-multi" | "quantum" | "classical-sim"
+    protocol: str  # a key of PROTOCOLS
     trials: int
     master_seed: int
     k: int = 1
     s: int | None = None  # indices per party for the multi-index variant
     eps_a: float | None = None
-    mode: str = "threshold"  # classical-sim referee: "threshold" | "sampled"
-    inputs: str = "random-unequal"  # "random-unequal" | "random-equal"
+    mode: str = "threshold"  # classical-sim referee, a key of SIM_MODES
+    inputs: str = "random-unequal"  # a key of INPUT_POLICIES
 
     def __post_init__(self):
         if self.trials < 1:
@@ -51,15 +54,14 @@ class ExperimentConfig:
             raise InputError("k must be >= 1")
         if self.s is not None and self.s < 1:
             raise InputError("s must be >= 1")
-        if self.protocol not in (
-            "classical",
-            "classical-multi",
-            "quantum",
-            "classical-sim",
-        ):
+        if self.protocol not in PROTOCOLS:
             raise InputError(f"unknown protocol {self.protocol!r}")
-        if self.inputs not in ("random-unequal", "random-equal"):
+        if self.inputs not in INPUT_POLICIES:
             raise InputError(f"unknown input policy {self.inputs!r}")
+        if self.mode not in SIM_MODES:
+            raise InputError(f"unknown mode {self.mode!r}")
+        if self.protocol == "classical-sim" and self.eps_a is None:
+            raise InputError("classical-sim requires eps_a")
 
 
 def _code_delta(code: LinearCode) -> float:
@@ -68,8 +70,16 @@ def _code_delta(code: LinearCode) -> float:
     return float(code.delta_verified)
 
 
-def _index_message(i: int, bit: int, index_bits: int) -> BitString:
-    return BitString.from_int(2 * i + bit, index_bits + 1)
+def _index_message(i: int, bit: int, width: int) -> BitString:
+    return BitString.from_int(2 * i + bit, width)
+
+
+def _swap_decision(o: float, k: int, seed: int) -> str:
+    """The quantum referee: k SWAP tests on states of overlap o; Equal only
+    when every ancilla reads 0 (one-sided)."""
+    p1 = (1.0 - o * o) / 2.0
+    outcomes = sample_swap_outcomes(p1, k, np.random.default_rng(seed))
+    return NOT_EQUAL if outcomes.any() else EQUAL
 
 
 def run_classical_equality(
@@ -85,23 +95,23 @@ def run_classical_equality(
 
     single_index sends one pair per party; multi_index sends s pairs
     (default s = ceil(sqrt(m ln 4)), making the no-collision probability
-    about 1/2 per round).
+    about 1/2 per round). Each pair is as wide as the fingerprint register.
     """
     ex, ey = encode(code, x).bits(), encode(code, y).bits()
     m = code.m
-    index_bits = max(1, math.ceil(math.log2(m)))
+    width = _fingerprint_qubits(m)
     rng = np.random.default_rng(seed)
     if variant == "single_index":
         i, j = int(rng.integers(m)), int(rng.integers(m))
         msgs = (
-            ("Alice", _index_message(i, int(ex[i]), index_bits)),
-            ("Bob", _index_message(j, int(ey[j]), index_bits)),
+            ("Alice", _index_message(i, int(ex[i]), width)),
+            ("Bob", _index_message(j, int(ey[j]), width)),
         )
         if i != j:
             decision = RESTART
         else:
             decision = EQUAL if ex[i] == ey[j] else NOT_EQUAL
-        return Transcript(msgs, 2 * (index_bits + 1), 0, decision)
+        return Transcript(msgs, 2 * width, 0, decision)
     if variant != "multi_index":
         raise InputError(f"unknown variant {variant!r}")
     if s is None:
@@ -109,14 +119,14 @@ def run_classical_equality(
     s = min(s, m)
     ia = rng.choice(m, s, replace=False)
     ib = rng.choice(m, s, replace=False)
-    msgs = tuple(("Alice", _index_message(int(i), int(ex[i]), index_bits)) for i in ia)
-    msgs += tuple(("Bob", _index_message(int(j), int(ey[j]), index_bits)) for j in ib)
+    msgs = tuple(("Alice", _index_message(int(i), int(ex[i]), width)) for i in ia)
+    msgs += tuple(("Bob", _index_message(int(j), int(ey[j]), width)) for j in ib)
     common = np.intersect1d(ia, ib)
     if common.size == 0:
         decision = RESTART
     else:
         decision = EQUAL if bool((ex[common] == ey[common]).all()) else NOT_EQUAL
-    return Transcript(msgs, 2 * s * (index_bits + 1), 0, decision)
+    return Transcript(msgs, 2 * s * width, 0, decision)
 
 
 def run_quantum_equality(
@@ -126,17 +136,12 @@ def run_quantum_equality(
     declares Equal only when every ancilla reads 0 (one-sided)."""
     if k < 1:
         raise InputError("k must be >= 1")
-    per_state = max(1, math.ceil(math.log2(code.m))) + 1
-    o = overlap(code, x, y)
-    p1 = (1.0 - o * o) / 2.0
-    rng = np.random.default_rng(seed)
-    outcomes = sample_swap_outcomes(p1, k, rng)
-    decision = NOT_EQUAL if outcomes.any() else EQUAL
+    decision = _swap_decision(overlap(code, x, y), k, seed)
     msgs = (
         ("Alice", f"|h_x> tensor {k}"),
         ("Bob", f"|h_y> tensor {k}"),
     )
-    return Transcript(msgs, 0, 2 * k * per_state, decision)
+    return Transcript(msgs, 0, 2 * k * _fingerprint_qubits(code.m), decision)
 
 
 def run_classical_simulation_of_quantum(
@@ -156,25 +161,40 @@ def run_classical_simulation_of_quantum(
     sampled mode draws the same k SWAP outcomes the quantum referee would,
     from the decoded states' overlap.
     """
-    da = quantize_state(build_fingerprint(code, x).state, eps_a)
-    db = quantize_state(build_fingerprint(code, y).state, eps_a)
+    if mode not in SIM_MODES:
+        raise InputError(f"unknown mode {mode!r}")
+    da = quantize_state(build_fingerprint(code, x), eps_a)
+    db = quantize_state(build_fingerprint(code, y), eps_a)
     sa, sb = decode_state(da), decode_state(db)
     o_hat = abs(np.vdot(sa.amplitudes, sb.amplitudes))
     msgs = (
         ("Alice", BitString.from_packed(da.payload, da.length_bits)),
         ("Bob", BitString.from_packed(db.payload, db.length_bits)),
     )
-    bits = da.length_bits + db.length_bits
-    if mode == "threshold":
-        delta = _code_delta(code)
-        decision = EQUAL if o_hat >= (1.0 + delta) / 2.0 else NOT_EQUAL
-    elif mode == "sampled":
-        p1 = (1.0 - o_hat * o_hat) / 2.0
-        rng = np.random.default_rng(seed)
-        decision = NOT_EQUAL if sample_swap_outcomes(p1, k, rng).any() else EQUAL
-    else:
-        raise InputError(f"unknown mode {mode!r}")
-    return Transcript(msgs, bits, 0, decision)
+    decision = SIM_MODES[mode](o_hat, code, k, seed)
+    return Transcript(msgs, da.length_bits + db.length_bits, 0, decision)
+
+
+# Referee decisions of the classical simulation, from the decoded overlap.
+SIM_MODES = {
+    "threshold": lambda o, code, k, seed: (
+        EQUAL if o >= (1.0 + _code_delta(code)) / 2.0 else NOT_EQUAL
+    ),
+    "sampled": lambda o, code, k, seed: _swap_decision(o, k, seed),
+}
+
+# One protocol run from the inputs, the config and the run seed.
+PROTOCOLS = {
+    "classical": lambda x, y, c, seed: run_classical_equality(x, y, c.code, seed=seed),
+    "classical-multi": lambda x, y, c, seed: run_classical_equality(
+        x, y, c.code, "multi_index", c.s, seed),
+    "quantum": lambda x, y, c, seed: run_quantum_equality(x, y, c.code, c.k, seed),
+    "classical-sim": lambda x, y, c, seed: run_classical_simulation_of_quantum(
+        x, y, c.code, c.eps_a, c.mode, c.k, seed),
+}
+
+# Input policy -> whether the two parties hold equal inputs.
+INPUT_POLICIES = {"random-unequal": False, "random-equal": True}
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -225,30 +245,16 @@ def _random_pair(
 def monte_carlo(config: ExperimentConfig) -> ErrorReport:
     """Runs config.trials independent protocol executions with per-trial
     seeds derived from the master seed; aggregation is order-independent."""
-    code = config.code
-    equal_inputs = config.inputs == "random-equal"
+    run = PROTOCOLS[config.protocol]
+    equal_inputs = INPUT_POLICIES[config.inputs]
     decided = restarts = false_eq = false_neq = 0
     bits_total = 0
     qubits_total = 0
     for t in range(config.trials):
         seed = trial_seed(config.master_seed, t)
         rng = np.random.default_rng(seed)
-        x, y = _random_pair(code.n, rng, equal_inputs)
-        run_seed = trial_seed(seed, 1)
-        if config.protocol == "classical":
-            tr = run_classical_equality(x, y, code, "single_index", seed=run_seed)
-        elif config.protocol == "classical-multi":
-            tr = run_classical_equality(
-                x, y, code, "multi_index", s=config.s, seed=run_seed
-            )
-        elif config.protocol == "quantum":
-            tr = run_quantum_equality(x, y, code, config.k, seed=run_seed)
-        else:
-            if config.eps_a is None:
-                raise InputError("classical-sim requires eps_a")
-            tr = run_classical_simulation_of_quantum(
-                x, y, code, config.eps_a, config.mode, config.k, seed=run_seed
-            )
+        x, y = _random_pair(config.code.n, rng, equal_inputs)
+        tr = run(x, y, config, trial_seed(seed, 1))
         bits_total += tr.classical_bits
         qubits_total += tr.qubits
         if tr.decision == RESTART:
@@ -268,7 +274,7 @@ def monte_carlo(config: ExperimentConfig) -> ErrorReport:
         false_eq,
         false_neq,
         rate,
-        wilson_interval(errors, decided) if decided else (0.0, 1.0),
+        wilson_interval(errors, decided),
         bits_total / config.trials,
         qubits_total / config.trials,
     )
@@ -278,7 +284,7 @@ def monte_carlo(config: ExperimentConfig) -> ErrorReport:
 class CommunicationRow:
     protocol: str
     n: int
-    q: int  # fingerprint qubit count, log2(m) + 1
+    q: int  # fingerprint qubit count, n + 1
     classical_bits: int
     qubits: int
     ratio: float  # log2(classical_bits) / qubits
@@ -287,20 +293,21 @@ class CommunicationRow:
 def communication_report(
     n_range: range | list[int], k: int = 1, p: int = 16
 ) -> list[CommunicationRow]:
-    """Closed-form accounting for the Hadamard-code family: the quantum
-    protocol sends 2k(n+1) qubits while the classical simulation sends
-    2(2^{q+1} p + 64) bits, q = n+1; the ratio column compares their logs."""
+    """Closed-form accounting for the Hadamard-code family (m = 2^n): the
+    quantum protocol sends 2k copies of the q-qubit fingerprint, and the
+    classical simulation sends two fixed-point descriptions of q qubits at p
+    bits per real component. q and the description length come from
+    ``fingerprint``, which also rejects a p outside the fixed-point layout's
+    range; the ratio column compares the log of the bits with the qubits."""
     if k < 1:
         raise InputError("k must be >= 1")
-    if not 2 <= p <= 62:
-        raise InputError(f"p={p} outside [2, 62], the fixed-point layout's range")
     rows = []
     for n in n_range:
         if n < 1:
             raise InputError("n must be >= 1")
-        q = n + 1
+        q = _fingerprint_qubits(2**n)
         qubits = 2 * k * q
-        bits = 2 * (2 ** (q + 1) * p + 64)
+        bits = 2 * _description_bits(q, p)
         rows.append(
             CommunicationRow("classical-sim vs quantum", n, q, bits, qubits,
                              math.log2(bits) / qubits)

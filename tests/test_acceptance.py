@@ -142,7 +142,7 @@ def test_criterion_05_preparation_circuit_forward():
             for x in _messages(n):
                 circuit = build_hx_circuit(code, x)
                 out = apply_circuit(circuit, StateVector.computational(circuit.q, 0))
-                assert fidelity(out, build_fingerprint(code, x).state) >= 1 - 1e-10
+                assert fidelity(out, build_fingerprint(code, x)) >= 1 - 1e-10
 
 
 def test_criterion_06_extraction_and_exclusion():
@@ -157,7 +157,7 @@ def test_criterion_06_extraction_and_exclusion():
             x = msgs[int(rng.integers(32))]
             word = encode(code, x)
             fid = 1 - eps * rng.random()  # fidelity >= 1 - eps
-            state = _perturbed(build_fingerprint(code, x).state, fid, rng)
+            state = _perturbed(build_fingerprint(code, x), fid, rng)
             res = extract_codeword(state, code)
             if res.status != "not_a_codeword" and res.word != word:
                 wrong += 1
@@ -165,7 +165,7 @@ def test_criterion_06_extraction_and_exclusion():
         for n in (2, 3, 4, 5):  # exact states decode perfectly
             c = hadamard_code(n)
             for x in _messages(n):
-                res = extract_codeword(build_fingerprint(c, x).state, c)
+                res = extract_codeword(build_fingerprint(c, x), c)
                 assert res.status == "exact" and res.message == x
 
 

@@ -158,6 +158,10 @@ def test_canonical_json_formatting():
     assert "0.3" in text  # %.12g collapses the float noise
     doc = json.loads(text)
     assert doc["a"] == [1, 2.5, None, True]
+    tricky = 'say "hi"\\ \b\f\n\r\t\x01 \u00e9'
+    text = canonical_json({"s": tricky})
+    assert '\\"hi\\"' in text and "\\n" in text and "\\u0001" in text and "\u00e9" in text
+    assert json.loads(text) == {"s": tricky}
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):

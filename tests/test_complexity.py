@@ -54,7 +54,7 @@ def test_frozen_payload_hashes():
     payloads = {
         "bell500": encode_circuit(bell_pair_circuit(500)).payload,
         "hx": encode_circuit(build_hx_circuit(code, x)).payload,
-        "fixed-point": quantize_state(build_fingerprint(code, x).state, 2.0**-16).payload,
+        "fixed-point": quantize_state(build_fingerprint(code, x), 2.0**-16).payload,
     }
     assert {k: hashlib.sha256(v).hexdigest() for k, v in payloads.items()} == {
         "bell500": "a43006281150f98cdbc69575c7eb1f341047cb80548cff91e202cbea4b053b59",
@@ -163,6 +163,16 @@ def test_purify_partial_trace_roundtrip():
         psi = purify(rho)
         back = partial_trace(psi, range(3))
         assert np.abs(back.entries - rho.entries).max() < 1e-9
+
+
+def test_purify_matches_kron_reference():
+    for q in (1, 2, 3):
+        rho = partial_trace(StateVector.random(2 * q, RNG), range(q))
+        vals, vecs = np.linalg.eigh(rho.entries)
+        ref = sum(
+            np.sqrt(max(v, 0.0)) * np.kron(vecs[:, i], vecs[:, i]) for i, v in enumerate(vals)
+        )
+        assert np.abs(purify(rho).amplitudes - ref / np.linalg.norm(ref)).max() < 1e-12
 
 
 def test_mixed_complexity_filter_and_min():

@@ -5,7 +5,7 @@ import pytest
 
 from qkolab.bits import BitString
 from qkolab.circuits import apply_circuit
-from qkolab.codes import concatenated_code, encode, hadamard_code
+from qkolab.codes import concatenated_code, encode, hadamard_code, simplex_code
 from qkolab.errors import DecodeError, InputError
 from qkolab.fingerprint import (
     HEADER_BITS,
@@ -30,23 +30,23 @@ def test_fingerprint_example_amplitudes():
     fp = build_fingerprint(code, BitString("10"))  # E(10) = 0011
     expected = np.zeros(8)
     expected[[0, 2, 5, 7]] = 0.5  # |00>|0>, |01>|0>, |10>|1>, |11>|1>
-    assert np.allclose(fp.state.amplitudes, expected)
-    assert fp.M == 3
+    assert np.allclose(fp.amplitudes, expected)
+    assert fp.q == 3
 
 
 def test_fingerprint_zero_codeword():
     code = hadamard_code(2)
     fp = build_fingerprint(code, BitString("00"))
-    assert np.allclose(fp.state.amplitudes[[0, 2, 4, 6]], 0.5)
-    assert np.allclose(fp.state.amplitudes[[1, 3, 5, 7]], 0.0)
+    assert np.allclose(fp.amplitudes[[0, 2, 4, 6]], 0.5)
+    assert np.allclose(fp.amplitudes[[1, 3, 5, 7]], 0.0)
 
 
 def test_fingerprint_non_power_of_two_m():
     code = concatenated_code(2, 3)  # m = 6
     fp = build_fingerprint(code, BitString("10"))
-    assert fp.state.q == 4
-    assert np.allclose(np.abs(fp.state.amplitudes[12:]), 0.0)
-    assert abs(np.linalg.norm(fp.state.amplitudes) - 1.0) < 1e-12
+    assert fp.q == 4
+    assert np.allclose(np.abs(fp.amplitudes[12:]), 0.0)
+    assert abs(np.linalg.norm(fp.amplitudes) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -56,8 +56,8 @@ def test_overlap_matches_statevector_inner_product(n):
     for x in msgs[:6]:
         for y in msgs[-6:]:
             o = overlap(code, x, y)
-            a = build_fingerprint(code, x).state.amplitudes
-            b = build_fingerprint(code, y).state.amplitudes
+            a = build_fingerprint(code, x).amplitudes
+            b = build_fingerprint(code, y).amplitudes
             assert abs(o - np.vdot(a, b).real) < 1e-12
             if x != y:
                 assert o == 0.5  # Hadamard agreement is exactly half
@@ -78,12 +78,16 @@ def test_circuit_reproduces_fingerprint(n):
     for x in _all_messages(n):
         circuit = build_hx_circuit(code, x)
         out = apply_circuit(circuit, StateVector.computational(circuit.q, 0))
-        assert fidelity(out, build_fingerprint(code, x).state) >= 1.0 - 1e-10
+        assert fidelity(out, build_fingerprint(code, x)) >= 1.0 - 1e-10
 
 
 def test_circuit_requires_power_of_two():
     with pytest.raises(InputError):
         build_hx_circuit(concatenated_code(2, 3), BitString("10"))
+    # m = 1 leaves the one-qubit index register half empty, so no circuit on
+    # the 2-qubit fingerprint register is built (a lone X would be 1 qubit)
+    with pytest.raises(InputError):
+        build_hx_circuit(simplex_code(1), BitString("1"))
 
 
 def test_circuit_gate_count_scaling():
@@ -99,7 +103,7 @@ def test_circuit_gate_count_scaling():
 def test_extraction_inverts_construction(n):
     code = hadamard_code(n)
     for x in _all_messages(n):
-        res = extract_codeword(build_fingerprint(code, x).state, code)
+        res = extract_codeword(build_fingerprint(code, x), code)
         assert res.status == "exact"
         assert res.word == encode(code, x)
         assert res.message == x

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qkolab.bits import BitString
-from qkolab.codes import hadamard_code
+from qkolab.codes import concatenated_code, hadamard_code, simplex_code
 from qkolab.errors import InputError
+from qkolab.fingerprint import build_fingerprint, quantize_state
 from qkolab.smp import (
     EQUAL,
     NOT_EQUAL,
@@ -83,6 +84,20 @@ def test_quantum_qubit_accounting():
     assert tr.classical_bits == 0
 
 
+@pytest.mark.parametrize(
+    "code", [hadamard_code(3), simplex_code(3), concatenated_code(3, 4)],
+    ids=["hadamard-m8", "simplex-m7", "concatenated-m12"],
+)
+def test_transcript_widths_match_the_fingerprint(code):
+    x, y = BitString("101"), BitString("011")
+    q = build_fingerprint(code, x).q
+    assert run_quantum_equality(x, y, code, k=2, seed=1).qubits == 2 * 2 * q
+    for variant in ("single_index", "multi_index"):
+        tr = run_classical_equality(x, y, code, variant, seed=1)
+        assert {len(msg) for _, msg in tr.messages} == {q}
+        assert tr.classical_bits == len(tr.messages) * q
+
+
 def test_classical_sim_threshold_decisions():
     x, y = BitString("1010"), BitString("0110")
     # unequal: decoded overlap sits near 1/2, far below the 0.75 threshold
@@ -130,6 +145,11 @@ def test_monte_carlo_validation():
         ExperimentConfig(CODE4, "quantum", 0, 0)
     with pytest.raises(InputError):
         monte_carlo(ExperimentConfig(CODE4, "classical-sim", 1, 0))  # no eps_a
+    # both are caught when the config is built, before any trial runs
+    with pytest.raises(InputError, match="eps_a"):
+        ExperimentConfig(CODE4, "classical-sim", 1, 0)
+    with pytest.raises(InputError, match="mode"):
+        ExperimentConfig(CODE4, "quantum", 1, 0, mode="bogus")
 
 
 def test_wilson_interval_basics():
@@ -151,3 +171,12 @@ def test_communication_report_formulas():
     by_n = {r.n: r.ratio for r in rows}
     assert by_n[6] > 0.9
     assert by_n[5] > 1.0
+
+
+def test_communication_report_counts_the_built_states():
+    k, p = 3, 10
+    for row in communication_report(range(1, 9), k=k, p=p):
+        state = build_fingerprint(hadamard_code(row.n), BitString.from_int(1, row.n))
+        assert row.q == state.q
+        assert row.qubits == 2 * k * state.q
+        assert row.classical_bits == 2 * quantize_state(state, 2.0**-p).length_bits
