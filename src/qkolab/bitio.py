@@ -27,13 +27,6 @@ class BitWriter:
             n = rest
         self._acc, self._nacc = acc, n
 
-    def write_int(self, value: int, width: int) -> None:
-        """Two's-complement signed write."""
-        lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
-        if not lo <= value <= hi:
-            raise ValueError(f"value {value} does not fit in signed {width} bits")
-        self.write_uint(value & ((1 << width) - 1), width)
-
     def align_to_byte(self) -> None:
         if self._nacc:
             self.write_uint(0, 8 - self._nacc)
@@ -72,9 +65,3 @@ class BitReader:
         pad = -self._pos % 8
         if pad and self.read_uint(pad):
             raise DecodeError("nonzero padding bits", offset=self._pos - pad)
-
-    def read_int(self, width: int) -> int:
-        raw = self.read_uint(width)
-        if raw >= 1 << (width - 1):
-            raw -= 1 << width
-        return raw

@@ -68,9 +68,6 @@ class Circuit:
             if any(t < 0 or t >= self.q for t in g.targets):
                 raise InputError(f"gate target out of range for q={self.q}")
 
-    def prefix(self, t: int) -> "Circuit":
-        return Circuit(self.q, self.gates[:t], self.basis, self.p)
-
 
 def quantize_angle(theta: float, p: int) -> float:
     """Snap an angle to the 2^p-point grid over [0, 2*pi)."""

@@ -8,7 +8,6 @@ transform weighs all 2^n - 1 nonzero codewords.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,44 +168,3 @@ def decode_message(code: LinearCode, word: BitString) -> BitString | None:
     x = np.zeros(code.n, dtype=np.uint8)
     x[pivot_cols] = aug[: len(pivot_cols), code.n]
     return BitString(x)
-
-
-def contains(code: LinearCode, word: BitString) -> bool:
-    return decode_message(code, word) is not None
-
-
-def to_descriptor(code: LinearCode) -> str:
-    """JSON descriptor with generator rows as hex (MSB-first, zero-padded)."""
-    rows = [BitString(row).packed.hex() for row in code.generator]
-    return json.dumps(
-        {
-            "name": code.name,
-            "n": code.n,
-            "m": code.m,
-            "generator": rows,
-            "delta_verified": code.delta_verified,
-            "verification_mode": code.verification_mode,
-        },
-        sort_keys=True,
-    )
-
-
-def from_descriptor(text: str) -> LinearCode:
-    doc = json.loads(text)
-    try:
-        n, m = int(doc["n"]), int(doc["m"])
-        rows = [
-            BitString.from_packed(bytes.fromhex(h), m).bits() for h in doc["generator"]
-        ]
-        if len(rows) != n:
-            raise InputError(f"descriptor has {len(rows)} rows, expected {n}")
-        return LinearCode(
-            str(doc["name"]),
-            n,
-            m,
-            np.array(rows, dtype=np.uint8),
-            doc["delta_verified"],
-            str(doc["verification_mode"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"descriptor missing field {exc}") from exc

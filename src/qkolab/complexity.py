@@ -47,7 +47,6 @@ from .states import (
 )
 
 FORMAT_VERSION = 2
-CONTAINER_MAGIC = b"QKCE"
 ENCODING_CAP_QUBITS = 2**15
 
 
@@ -127,16 +126,6 @@ def decode_circuit(e: CircuitEncoding | bytes) -> Circuit:
         gates.append(Gate(name, tuple(targets), angle))
     basis = "quantized" if basis_flag else "exact"
     return Circuit(q, tuple(gates), basis, p)
-
-
-def to_container(e: CircuitEncoding) -> bytes:
-    return CONTAINER_MAGIC + e.payload
-
-
-def from_container(data: bytes) -> Circuit:
-    if data[:4] != CONTAINER_MAGIC:
-        raise DecodeError("missing QKCE magic", offset=0)
-    return decode_circuit(data[4:])
 
 
 def knet_upper(c: Circuit) -> ComplexitySurrogate:
@@ -221,39 +210,15 @@ def bell_pair_circuit(n: int) -> Circuit:
     Tracing out the second qubit of every couple leaves the maximally mixed
     state on n qubits.
     """
-    if n < 1 or 2 * n > ENCODING_CAP_QUBITS:
-        raise CapError(f"n={n} outside [1, {ENCODING_CAP_QUBITS // 2}]")
+    if n < 1:
+        raise InputError(f"n={n} must be at least 1")
+    if 2 * n > ENCODING_CAP_QUBITS:
+        raise CapError(f"n={n} exceeds the cap of {ENCODING_CAP_QUBITS // 2}")
     gates = []
     for i in range(n):
         gates.append(Gate("H", (2 * i,)))
         gates.append(Gate("CNOT", (2 * i, 2 * i + 1)))
     return Circuit(2 * n, tuple(gates))
-
-
-@dataclass(frozen=True)
-class StepReport:
-    t: int
-    knet_bits: int
-    raw_bits: int
-    flagged: bool
-
-
-def track_stepwise(
-    c: Circuit, bound: tuple[float, float, float] | None = None
-) -> list[StepReport]:
-    """knet bound of every prefix circuit (the preparer of the state after
-    step t); flags steps exceeding the explicit polynomial bound a*t^b + d."""
-    reports = []
-    for t in range(1, len(c.gates) + 1):
-        surrogate = knet_upper(c.prefix(t))
-        flagged = False
-        if bound is not None:
-            a, b, d = bound
-            flagged = surrogate.compressed_length_bits > a * t**b + d
-        reports.append(
-            StepReport(t, surrogate.compressed_length_bits, surrogate.raw_length_bits, flagged)
-        )
-    return reports
 
 
 @dataclass(frozen=True)

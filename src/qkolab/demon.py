@@ -17,7 +17,7 @@ from .bits import BitString
 from .compressor import METHOD_ID
 from .complexity import cbe_upper
 from .errors import CapError, InputError
-from .states import StateVector
+from .states import StateVector, _check_qubits
 
 KB_JOULE_PER_KELVIN = 1.380649e-23
 
@@ -58,8 +58,10 @@ class EntropyLedger:
 
 
 def _check_m(m: int) -> None:
-    if not 1 <= m <= DEMON_M_CAP:
-        raise CapError(f"m must be in [1, {DEMON_M_CAP}]")
+    if m < 1:
+        raise InputError(f"m={m} must be at least 1")
+    if m > DEMON_M_CAP:
+        raise CapError(f"m={m} exceeds the cap of {DEMON_M_CAP}")
 
 
 def _check_seed(seed: int) -> None:
@@ -133,13 +135,11 @@ def multiphoton_ledger(
         kB=kB, T=T, strategy="product",
     )
     if mode == "formula":
-        if not 1 <= n <= FORMULA_N_CAP:
-            raise CapError(f"formula mode caps n at {FORMULA_N_CAP}")
+        _check_qubits(n, FORMULA_N_CAP)
         i_fin = 2**n * math.log2(1.0 / eps)
         method = None
     elif mode == "simulated":
-        if not 1 <= n <= SIMULATED_N_CAP:
-            raise CapError(f"simulated mode caps n at {SIMULATED_N_CAP}")
+        _check_qubits(n, SIMULATED_N_CAP)
         target = StateVector.random(n, np.random.default_rng(seed))
         i_fin = float(cbe_upper(target, eps).compressed_length_bits)
         method = METHOD_ID

@@ -140,7 +140,8 @@ class QuantizedDescription:
 
 
 def quantize_state(s: StateVector, eps_a: float) -> QuantizedDescription:
-    """Fixed-point description with p = ceil(log2(1/eps_a)) bits per real.
+    """Fixed-point description with p = max(2, ceil(log2(1/eps_a))) bits per
+    real; p is at most 62, so an eps_a with log2(1/eps_a) > 62 is bad input.
 
     Layout (bit-exact, big-endian): 16-bit q, 16-bit p, 32-bit reserved,
     then the 2^q real parts followed by the 2^q imaginary parts in basis
@@ -149,7 +150,10 @@ def quantize_state(s: StateVector, eps_a: float) -> QuantizedDescription:
     """
     if not 0 < eps_a < 1:
         raise InputError(f"need 0 < eps_a < 1, got {eps_a}")
-    p = max(2, math.ceil(math.log2(1.0 / eps_a)))
+    bits = math.log2(1.0 / eps_a)  # inf for a subnormal eps_a
+    if not bits <= 62:
+        raise InputError(f"eps_a={eps_a} needs more than 62 bits per real component")
+    p = max(2, math.ceil(bits))
     length = _description_bits(s.q, p)
     scale = 2.0 ** (p - 1)
     lo, hi = -(2 ** (p - 1)), 2 ** (p - 1) - 1

@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compressor import kcl_upper
 from .errors import CapError, InputError
 
 NORM_TOL = 1e-10
 EIG_FLOOR = 1e-9
 STATE_QUBIT_CAP = 20
 DENSITY_QUBIT_CAP = 10
-POVM_QUBIT_CAP = 8
 
 
 def _check_qubits(q: int, cap: int) -> None:
@@ -221,89 +219,3 @@ def uhlmann_fidelity(r: DensityMatrix, s: DensityMatrix) -> float:
         raise InputError(f"dimension mismatch: {r.q} vs {s.q} qubits")
     sv = np.linalg.svd(_psd_root(r) @ _psd_root(s), compute_uv=False)
     return float(min(1.0, sv.sum()))
-
-
-def schmidt_rank(s: StateVector, partition) -> int:
-    """Number of singular values above 1e-9 across the given bipartition."""
-    part = sorted(set(int(i) for i in partition))
-    if not part or len(part) >= s.q or part[0] < 0 or part[-1] >= s.q:
-        raise InputError("partition must be a proper nonempty subset of the qubits")
-    rest = [i for i in range(s.q) if i not in part]
-    t = np.transpose(s.amplitudes.reshape([2] * s.q), part + rest)
-    sv = np.linalg.svd(t.reshape(2 ** len(part), -1), compute_uv=False)
-    return int((sv > EIG_FLOOR).sum())
-
-
-# Tetrahedral informationally complete single-qubit POVM: four equal-weight
-# rank-one elements along the regular tetrahedron directions. Its descriptor
-# is a constant independent of system size.
-_TETRA_DIRECTIONS = np.array(
-    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
-) / np.sqrt(3)
-
-
-def _bloch_state(direction: np.ndarray) -> np.ndarray:
-    x, y, z = direction
-    theta = np.arccos(np.clip(z, -1, 1))
-    phi = np.arctan2(y, x)
-    return np.array(
-        [np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], dtype=np.complex128
-    )
-
-
-def tetrahedral_povm_elements() -> list[np.ndarray]:
-    """The four 2x2 POVM elements (each |v><v| / 2); they sum to identity."""
-    return [
-        0.5 * np.outer(v, v.conj())
-        for v in (_bloch_state(d) for d in _TETRA_DIRECTIONS)
-    ]
-
-
-@dataclass(frozen=True)
-class PovmDistribution:
-    probabilities: np.ndarray = field(repr=False)
-    description: "object" = None  # ComplexitySurrogate of the serialization
-
-
-def povm_outcome_distribution(s: StateVector) -> PovmDistribution:
-    """Outcome distribution of the tensor-power tetrahedral POVM.
-
-    Outcome index is base-4, qubit 0 most significant. Since every element
-    is rank one, p_k = |<v_k1 ... v_kq | s>|^2 / 2^q.
-    """
-    if s.q > POVM_QUBIT_CAP:
-        raise CapError(f"POVM distribution capped at q <= {POVM_QUBIT_CAP}")
-    basis = np.array([_bloch_state(d) for d in _TETRA_DIRECTIONS])  # 4 x 2
-    t = s.amplitudes.reshape([2] * s.q)
-    for _ in range(s.q):
-        # contract the leading qubit axis; its outcome axis lands at the end,
-        # so the final axis order matches the qubit order
-        t = np.tensordot(t, basis.conj(), axes=([0], [1]))
-    probs = (np.abs(t) ** 2).reshape(-1) / 2**s.q
-    payload = _fixed_point_serialize(probs)
-    return PovmDistribution(probs, kcl_upper(payload))
-
-
-def _fixed_point_serialize(probs: np.ndarray, bits: int = 16) -> bytes:
-    scaled = np.round(probs * (2**bits - 1)).astype(np.uint16)
-    return scaled.astype(">u2").tobytes()
-
-
-def sample_measurement(s: StateVector, basis, seed: int) -> int:
-    """Outcome index for one projective measurement; deterministic per seed.
-
-    ``basis`` is "computational" or a (2^q, 2^q) matrix whose rows are the
-    basis vectors.
-    """
-    if isinstance(basis, str):
-        if basis != "computational":
-            raise InputError(f"unknown basis spec {basis!r}")
-        probs = np.abs(s.amplitudes) ** 2
-    else:
-        mat = np.asarray(basis, dtype=np.complex128)
-        if mat.shape != (2**s.q, 2**s.q):
-            raise InputError("basis matrix has wrong shape")
-        probs = np.abs(mat.conj() @ s.amplitudes) ** 2
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    return int(rng.choice(len(probs), p=probs))

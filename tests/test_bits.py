@@ -71,21 +71,6 @@ def test_bitio_roundtrip(fields):
         assert r.read_uint(width) == value
 
 
-def test_bitio_signed_and_align():
-    w = BitWriter()
-    w.write_int(-5, 8)
-    w.write_int(5, 8)
-    w.write_uint(1, 1)
-    w.align_to_byte()
-    w.write_uint(0xAB, 8)
-    r = BitReader(w.to_bytes())
-    assert r.read_int(8) == -5
-    assert r.read_int(8) == 5
-    assert r.read_uint(1) == 1
-    r.align_to_byte()
-    assert r.read_uint(8) == 0xAB
-
-
 def test_bitio_truncation_reports_offset():
     r = BitReader(b"\xff")
     r.read_uint(6)
@@ -140,11 +125,6 @@ _bitio_ops = st.lists(
         st.integers(0, 80).flatmap(
             lambda w: st.tuples(st.just("uint"), st.integers(0, 2**w - 1), st.just(w))
         ),
-        st.integers(1, 80).flatmap(
-            lambda w: st.tuples(
-                st.just("int"), st.integers(-(2 ** (w - 1)), 2 ** (w - 1) - 1), st.just(w)
-            )
-        ),
         st.just(("align", 0, 0)),
     ),
     max_size=40,
@@ -159,10 +139,6 @@ def test_bitio_matches_per_bit_reference(ops):
         if kind == "uint":
             w.write_uint(value, width)
             ref += [(value >> (width - 1 - i)) & 1 for i in range(width)]
-        elif kind == "int":
-            w.write_int(value, width)
-            raw = value & ((1 << width) - 1)
-            ref += [(raw >> (width - 1 - i)) & 1 for i in range(width)]
         else:
             w.align_to_byte()
             ref += [0] * (-len(ref) % 8)
@@ -173,8 +149,6 @@ def test_bitio_matches_per_bit_reference(ops):
     for kind, value, width in ops:
         if kind == "uint":
             assert r.read_uint(width) == value
-        elif kind == "int":
-            assert r.read_int(width) == value
         else:
             r.align_to_byte()
     assert r.position == len(ref)

@@ -157,9 +157,3 @@ def _embed_two(m, a, b, q):
             row = sum(v << (q - 1 - i) for i, v in enumerate(nb))
             full[row, col] += amp
     return full
-
-
-def test_prefix():
-    c = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
-    assert len(c.prefix(1).gates) == 1
-    assert c.prefix(2) == c

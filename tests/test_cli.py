@@ -220,6 +220,31 @@ def test_sweep_bad_precision_or_copies_exits_2(capsys, flags):
     assert_exit_2(["sweep", "--n-min", "1", "--n-max", "3"] + flags, capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["complexity", "report", "--target", "fingerprint", "--n", "2", "--x", "10",
+          "--eps-a", "5e-324"], 2),
+        (["equality", "--protocol", "classical-sim", "--n", "2", "--trials", "2", "--seed", "1",
+          "--eps-a", "1e-310"], 2),
+        (["demon", "multi", "--n", "2", "--m", "3", "--eps", "5e-324", "--mode", "simulated"], 2),
+        (["complexity", "report", "--target", "bell", "--n", "0"], 2),
+        (["demon", "multi", "--n", "0", "--m", "3", "--eps", "0.1"], 2),
+        (["demon", "multi", "--n", "0", "--m", "3", "--eps", "0.1", "--mode", "simulated"], 2),
+        (["demon", "run", "--m", "0", "--seed", "1"], 2),
+        (["complexity", "report", "--target", "bell", "--n", "16385"], 3),
+        (["demon", "run", "--m", "65", "--seed", "1"], 3),
+        (["demon", "multi", "--n", "17", "--m", "3", "--eps", "0.1"], 3),
+    ],
+    ids=["report-subnormal-eps", "equality-subnormal-eps", "multi-subnormal-eps", "bell-0",
+         "multi-0", "multi-simulated-0", "run-m-0", "bell-cap", "run-m-cap", "multi-cap"],
+)
+def test_subnormal_eps_and_zero_counts_exit_2_caps_exit_3(capsys, argv, expected):
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_atomic_write_uses_unique_temp_and_cleans_up(tmp_path, capsys):
     (tmp_path / "x.json.tmp").mkdir()  # the old fixed temp name is taken
     code, data = run(HADAMARD_VERIFY, tmp_path, "x.json")
@@ -249,7 +274,9 @@ def _opt(name, values):
 
 SMALL = st.integers(-1, 4)
 SEEDS = st.integers(-5, 5)
-REALS = st.sampled_from(["-1", "0", "1e-300", "0.0625", "0.5", "1", "2", "nan", "inf"])
+REALS = st.sampled_from(
+    ["-1", "0", "1e-300", "5e-324", "0.0625", "0.5", "1", "2", "nan", "inf"]
+)
 BITS_TEXT = st.text("01x", max_size=5)
 
 

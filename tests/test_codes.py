@@ -10,14 +10,11 @@ from qkolab.codes import (
     VERIFY_N_CAP,
     LinearCode,
     concatenated_code,
-    contains,
     decode_message,
     encode,
     encode_blocks,
-    from_descriptor,
     hadamard_code,
     simplex_code,
-    to_descriptor,
     verify_distance,
 )
 from qkolab.errors import CapError, InputError
@@ -124,14 +121,3 @@ def test_decode_message_membership():
     flipped = encode(code, BitString("101")).bits()
     flipped[0] ^= 1
     assert decode_message(code, BitString(flipped)) is None
-    assert not contains(code, BitString(flipped))
-
-
-def test_descriptor_roundtrip():
-    for code in (hadamard_code(3), simplex_code(3), concatenated_code(4, 3)):
-        back = from_descriptor(to_descriptor(code))
-        assert back.name == code.name
-        assert (back.generator == code.generator).all()
-        assert back.delta_verified == code.delta_verified
-    with pytest.raises(InputError):
-        from_descriptor('{"n": 2, "m": 4}')

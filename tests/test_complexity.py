@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -10,19 +9,15 @@ from qkolab.bits import BitString
 from qkolab.circuits import Circuit, Gate, quantize_angle
 from qkolab.codes import hadamard_code
 from qkolab.complexity import (
-    CONTAINER_MAGIC,
     FORMAT_VERSION,
     bell_pair_circuit,
     cbe_upper,
     decode_circuit,
     encode_circuit,
-    from_container,
     knet_upper,
     mixed_complexity_upper,
     observation1_experiment,
     purify,
-    to_container,
-    track_stepwise,
 )
 from qkolab.compressor import HEADER_BITS
 from qkolab.errors import DecodeError, InputError
@@ -94,15 +89,6 @@ def test_roundtrip_random_circuits(data):
             gates.append(Gate(name, (data.draw(st.integers(0, q - 1)),)))
     c = Circuit(q, tuple(gates), basis="quantized", p=12)
     assert decode_circuit(encode_circuit(c)) == c
-
-
-def test_container_roundtrip_and_magic():
-    c = bell_pair_circuit(4)
-    data = to_container(encode_circuit(c))
-    assert data[:4] == CONTAINER_MAGIC
-    assert from_container(data) == c
-    with pytest.raises(DecodeError):
-        from_container(b"XXXX" + data[4:])
 
 
 def test_decode_errors_carry_offsets():
@@ -207,17 +193,6 @@ def test_bell_pair_encoding_sublinear():
     k8 = knet_upper(bell_pair_circuit(8)).compressed_length_bits
     k64 = knet_upper(bell_pair_circuit(64)).compressed_length_bits
     assert k64 <= 2 * k8
-
-
-def test_track_stepwise():
-    assert track_stepwise(Circuit(2, ())) == []
-    reports = track_stepwise(bell_pair_circuit(4), bound=(64.0, 1.0, 512.0))
-    assert len(reports) == 8
-    assert not any(r.flagged for r in reports)
-    # constant-complexity circuit: repeated gate plateaus
-    c = Circuit(2, tuple(Gate("H", (0,)) for _ in range(120)))
-    bits = [r.knet_bits for r in track_stepwise(c)]
-    assert bits[-1] - bits[60] <= 32  # near-flat tail
 
 
 def test_observation1_rank_correlation():

@@ -58,7 +58,7 @@ def test_demon_outcome_frequencies():
 def test_demon_caps():
     with pytest.raises(CapError):
         demon_step(65, seed=0)
-    with pytest.raises(CapError):
+    with pytest.raises(InputError):
         demon_step(0, seed=0)
 
 
@@ -108,7 +108,7 @@ def test_background_report_projection_dominated_by_state():
 def test_background_report_rejects_out_of_range_integers():
     with pytest.raises(CapError):
         background_information_report("single", 2**64)
-    with pytest.raises(CapError):
+    with pytest.raises(InputError):
         background_information_report("single", -1)
     with pytest.raises(InputError):
         background_information_report("multi-product", 8, n=2**64)

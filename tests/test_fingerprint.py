@@ -132,6 +132,8 @@ def test_quantize_length_formula():
     assert d.p == 10
     assert d.length_bits == 2**4 * 10 + HEADER_BITS
     assert d.length_bits - HEADER_BITS == 160
+    # 1/eps_a rounds to 2^62 just below 2^-62, so p stays at the layout's limit
+    assert quantize_state(s, math.nextafter(2.0**-62, 0)).p == 62
 
 
 def test_quantize_roundtrip_bound_random_q6():
@@ -163,5 +165,6 @@ def test_decode_state_errors():
         decode_state(bytes(bad))
     with pytest.raises(InputError):
         quantize_state(s, 1.5)
-    with pytest.raises(InputError):
-        quantize_state(s, 2.0**-70)
+    for eps_a in (2.0**-70, 1e-310, 5e-324):  # 1/5e-324 is inf
+        with pytest.raises(InputError):
+            quantize_state(s, eps_a)

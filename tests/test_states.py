@@ -9,13 +9,9 @@ from qkolab.states import (
     StateVector,
     fidelity,
     partial_trace,
-    povm_outcome_distribution,
-    sample_measurement,
     sample_swap_outcomes,
-    schmidt_rank,
     swap_test,
     swap_test_circuit,
-    tetrahedral_povm_elements,
     uhlmann_fidelity,
 )
 
@@ -129,43 +125,3 @@ def test_uhlmann_fidelity_properties():
     a, b = StateVector.random(2, RNG), StateVector.random(2, RNG)
     f = uhlmann_fidelity(DensityMatrix.from_pure(a), DensityMatrix.from_pure(b))
     assert abs(f - math.sqrt(fidelity(a, b))) < 1e-10
-
-
-def test_schmidt_rank():
-    assert schmidt_rank(BELL, [0]) == 2
-    product = StateVector(2, np.kron([1, 0], [0, 1]))
-    assert schmidt_rank(product, [0]) == 1
-    ghz = StateVector(3, np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2))
-    assert schmidt_rank(ghz, [0, 1]) == 2
-
-
-def test_tetrahedral_povm_is_complete():
-    total = sum(tetrahedral_povm_elements())
-    assert np.abs(total - np.eye(2)).max() < 1e-12
-    for e in tetrahedral_povm_elements():
-        assert np.linalg.eigvalsh(e).min() > -1e-12
-
-
-def test_povm_distribution_uniform_on_mixed_marginal():
-    # |0> along z: outcome probabilities are (1 + z_k)/4 for the four
-    # tetrahedron z-components (1, -1, -1, 1)/sqrt(3)
-    hi, lo = (1 + 1 / math.sqrt(3)) / 4, (1 - 1 / math.sqrt(3)) / 4
-    probs = povm_outcome_distribution(StateVector.computational(1, 0)).probabilities
-    assert np.allclose(sorted(probs), sorted([hi, hi, lo, lo]))
-    assert abs(probs.sum() - 1.0) < 1e-12
-    # two qubits: distribution is the product for product states
-    s2 = StateVector(2, np.kron([1, 0], [1, 0]))
-    p2 = povm_outcome_distribution(s2).probabilities
-    assert np.allclose(p2, np.kron(probs, probs))
-    assert povm_outcome_distribution(s2).description.compressed_length_bits > 0
-
-
-def test_sample_measurement_deterministic():
-    s = StateVector.random(3, RNG)
-    assert sample_measurement(s, "computational", 7) == sample_measurement(
-        s, "computational", 7
-    )
-    basis = np.eye(8)
-    assert sample_measurement(s, basis, 7) == sample_measurement(
-        s, "computational", 7
-    )
