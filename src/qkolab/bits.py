@@ -6,7 +6,7 @@ the leftmost character.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -93,9 +93,6 @@ class BitString:
         if not 0 <= i < self._length:
             raise IndexError(f"bit index {i} out of range [0, {self._length})")
         return (self._packed[i >> 3] >> (7 - (i & 7))) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits().tolist())
 
     def __xor__(self, other: "BitString") -> "BitString":
         if self._length != other._length:

@@ -130,23 +130,19 @@ def _emit_mcxroot(
     """Controlled X^(sign / 2^s) with the given controls, ancilla-free.
 
     Standard root recursion: C-V, C^{k-1}X, C-V^dag, C^{k-1}X, C^{k-1}V with
-    V the square root of the current gate.
+    V the square root of the current gate. Every recursive call keeps at
+    least one control, so only a top-level call with no controls lands in
+    the bare-X case (s = 0 there).
     """
-    theta = sign * math.pi / 2**s
     if not controls:
-        if s == 0:
-            out.append(Gate("X", (target,)))
-        else:
-            out.append(Gate("H", (target,)))
-            out.append(Gate("RZ", (target,), quantize_angle(theta, p)))
-            out.append(Gate("H", (target,)))
+        out.append(Gate("X", (target,)))
         return
     if len(controls) == 1:
         if s == 0:
             out.append(Gate("CNOT", (controls[0], target)))
         else:
             out.append(Gate("H", (target,)))
-            out.extend(_cphase(controls[0], target, theta, p))
+            out.extend(_cphase(controls[0], target, sign * math.pi / 2**s, p))
             out.append(Gate("H", (target,)))
         return
     last, rest = controls[-1], controls[:-1]

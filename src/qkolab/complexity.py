@@ -37,14 +37,7 @@ from .codes import LinearCode, encode_blocks
 from .compressor import ComplexitySurrogate, kcl_upper
 from .errors import CapError, DecodeError, InputError
 from .fingerprint import quantize_state
-from .states import (
-    STATE_QUBIT_CAP,
-    DensityMatrix,
-    StateVector,
-    _check_qubits,
-    partial_trace,
-    uhlmann_fidelity,
-)
+from .states import DensityMatrix, StateVector, partial_trace, uhlmann_fidelity
 
 FORMAT_VERSION = 2
 ENCODING_CAP_QUBITS = 2**15
@@ -52,12 +45,8 @@ ENCODING_CAP_QUBITS = 2**15
 
 @dataclass(frozen=True)
 class CircuitEncoding:
-    format_version: int
     payload: bytes = field(repr=False)
     payload_bits: int  # before byte padding
-    basis: str
-    q: int
-    p: int
 
 
 def _target_bits(q: int) -> int:
@@ -88,9 +77,7 @@ def encode_circuit(c: Circuit) -> CircuitEncoding:
             grid = round((g.angle % (2 * math.pi)) / (2 * math.pi) * 2**c.p) % 2**c.p
             w.write_uint(grid, c.p)
         w.align_to_byte()
-    return CircuitEncoding(
-        FORMAT_VERSION, w.to_bytes(), w.bit_length, c.basis, c.q, c.p
-    )
+    return CircuitEncoding(w.to_bytes(), w.bit_length)
 
 
 def decode_circuit(e: CircuitEncoding | bytes) -> Circuit:
@@ -141,14 +128,6 @@ def knet_upper(c: Circuit) -> ComplexitySurrogate:
 def cbe_upper(s: StateVector, eps_a: float) -> ComplexitySurrogate:
     """Compressed length of the fixed-point amplitude-list description."""
     return kcl_upper(quantize_state(s, eps_a).payload)
-
-
-def purify(r: DensityMatrix) -> StateVector:
-    """Same-basis Schmidt-form purification sum_i sqrt(p_i) |u_i>|u_i>."""
-    _check_qubits(2 * r.q, STATE_QUBIT_CAP)
-    vals, vecs = np.linalg.eigh(r.entries)
-    amps = ((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T).reshape(-1)
-    return StateVector(2 * r.q, amps / np.linalg.norm(amps))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import BitWriter
 from .bits import BitString
 from .compressor import METHOD_ID
 from .complexity import cbe_upper
@@ -136,7 +135,7 @@ def multiphoton_ledger(
     )
     if mode == "formula":
         _check_qubits(n, FORMULA_N_CAP)
-        i_fin = 2**n * math.log2(1.0 / eps)
+        i_fin = 2**n * -math.log2(eps)  # finite for subnormal eps, unlike 1/eps
         method = None
     elif mode == "simulated":
         _check_qubits(n, SIMULATED_N_CAP)
@@ -153,55 +152,3 @@ def multiphoton_ledger(
         product, entangled, entangled.delta_total > product.delta_total
     )
 
-
-_FORMAT_TAG = 0x5142  # 16-bit descriptor tag
-_SETTINGS = {"single": 0, "multi-product": 1, "multi-projection": 2}
-
-
-@dataclass(frozen=True)
-class BackgroundReport:
-    setting: str
-    descriptor_bits: int
-    cbe_bits: int | None = None
-    raw_cbe_bits: int | None = None
-    surrogate_method: str | None = None
-
-
-def background_information_report(
-    setting: str,
-    m: int,
-    n: int | None = None,
-    target: StateVector | None = None,
-    eps_a: float = 2.0**-16,
-) -> BackgroundReport:
-    """Length of the shared description of the candidate-state list.
-
-    The single-photon basis family is a fixed template plus the integer m;
-    the product multi-photon family adds the integer n; an arbitrary
-    projection target cannot be named by a template and its amplitude-list
-    description dominates the report.
-    """
-    if setting not in _SETTINGS:
-        raise InputError(f"unknown setting {setting!r}")
-    _check_m(m)
-    if setting != "single" and (n is None or not 1 <= n < 2**64):
-        raise InputError("multi-photon settings need n in [1, 2^64)")
-    w = BitWriter()
-    w.write_uint(_FORMAT_TAG, 16)
-    w.write_uint(_SETTINGS[setting], 8)
-    w.write_uint(m, 64)
-    if setting == "single":
-        return BackgroundReport(setting, w.bit_length)
-    w.write_uint(n, 64)
-    if setting == "multi-product":
-        return BackgroundReport(setting, w.bit_length)
-    if target is None:
-        raise InputError("multi-projection needs the projection target state")
-    surrogate = cbe_upper(target, eps_a)
-    return BackgroundReport(
-        setting,
-        w.bit_length + surrogate.compressed_length_bits,
-        surrogate.compressed_length_bits,
-        surrogate.raw_length_bits,
-        surrogate.method_id,
-    )

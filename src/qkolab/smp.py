@@ -29,7 +29,6 @@ RESTART = "Restart"
 
 @dataclass(frozen=True)
 class Transcript:
-    messages: tuple[tuple[str, BitString | str], ...]
     classical_bits: int
     qubits: int
     decision: str
@@ -70,10 +69,6 @@ def _code_delta(code: LinearCode) -> float:
     return float(code.delta_verified)
 
 
-def _index_message(i: int, bit: int, width: int) -> BitString:
-    return BitString.from_int(2 * i + bit, width)
-
-
 def _swap_decision(o: float, k: int, seed: int) -> str:
     """The quantum referee: k SWAP tests on states of overlap o; Equal only
     when every ancilla reads 0 (one-sided)."""
@@ -103,15 +98,11 @@ def run_classical_equality(
     rng = np.random.default_rng(seed)
     if variant == "single_index":
         i, j = int(rng.integers(m)), int(rng.integers(m))
-        msgs = (
-            ("Alice", _index_message(i, int(ex[i]), width)),
-            ("Bob", _index_message(j, int(ey[j]), width)),
-        )
         if i != j:
             decision = RESTART
         else:
             decision = EQUAL if ex[i] == ey[j] else NOT_EQUAL
-        return Transcript(msgs, 2 * width, 0, decision)
+        return Transcript(2 * width, 0, decision)
     if variant != "multi_index":
         raise InputError(f"unknown variant {variant!r}")
     if s is None:
@@ -119,14 +110,12 @@ def run_classical_equality(
     s = min(s, m)
     ia = rng.choice(m, s, replace=False)
     ib = rng.choice(m, s, replace=False)
-    msgs = tuple(("Alice", _index_message(int(i), int(ex[i]), width)) for i in ia)
-    msgs += tuple(("Bob", _index_message(int(j), int(ey[j]), width)) for j in ib)
     common = np.intersect1d(ia, ib)
     if common.size == 0:
         decision = RESTART
     else:
         decision = EQUAL if bool((ex[common] == ey[common]).all()) else NOT_EQUAL
-    return Transcript(msgs, 2 * s * width, 0, decision)
+    return Transcript(2 * s * width, 0, decision)
 
 
 def run_quantum_equality(
@@ -137,11 +126,7 @@ def run_quantum_equality(
     if k < 1:
         raise InputError("k must be >= 1")
     decision = _swap_decision(overlap(code, x, y), k, seed)
-    msgs = (
-        ("Alice", f"|h_x> tensor {k}"),
-        ("Bob", f"|h_y> tensor {k}"),
-    )
-    return Transcript(msgs, 0, 2 * k * _fingerprint_qubits(code.m), decision)
+    return Transcript(0, 2 * k * _fingerprint_qubits(code.m), decision)
 
 
 def run_classical_simulation_of_quantum(
@@ -167,12 +152,8 @@ def run_classical_simulation_of_quantum(
     db = quantize_state(build_fingerprint(code, y), eps_a)
     sa, sb = decode_state(da), decode_state(db)
     o_hat = abs(np.vdot(sa.amplitudes, sb.amplitudes))
-    msgs = (
-        ("Alice", BitString.from_packed(da.payload, da.length_bits)),
-        ("Bob", BitString.from_packed(db.payload, db.length_bits)),
-    )
     decision = SIM_MODES[mode](o_hat, code, k, seed)
-    return Transcript(msgs, da.length_bits + db.length_bits, 0, decision)
+    return Transcript(da.length_bits + db.length_bits, 0, decision)
 
 
 # Referee decisions of the classical simulation, from the decoded overlap.

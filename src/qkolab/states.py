@@ -168,40 +168,19 @@ def _apply_controlled(state: np.ndarray, control: int, q: int, permute) -> np.nd
     return out.reshape(-1)
 
 
-def partial_trace(state, keep) -> DensityMatrix:
-    """Reduced density matrix on the kept qubits (ascending order)."""
+def partial_trace(state: StateVector, keep) -> DensityMatrix:
+    """Reduced density matrix of a pure state on the kept qubits (ascending
+    order): the kept-by-traced amplitude matrix M gives M M^dagger."""
     keep = sorted(set(int(k) for k in keep))
-    if isinstance(state, StateVector):
-        q = state.q
-        _check_keep(keep, q)
-        traced = [i for i in range(q) if i not in keep]
-        t = state.amplitudes.reshape([2] * q)
-        t = np.transpose(t, keep + traced)
-        mat = t.reshape(2 ** len(keep), 2 ** len(traced))
-        return DensityMatrix(len(keep), mat @ mat.conj().T)
-    if isinstance(state, DensityMatrix):
-        _check_keep(keep, state.q)
-        return _partial_trace_dm(state, keep)
-    raise InputError(f"unsupported state type {type(state)!r}")
-
-
-def _check_keep(keep, q):
+    q = state.q
     if not keep:
         raise InputError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= q:
         raise InputError(f"keep indices must lie in [0, {q})")
-
-
-def _partial_trace_dm(state: DensityMatrix, keep: list[int]) -> DensityMatrix:
-    q = state.q
     traced = [i for i in range(q) if i not in keep]
-    t = state.entries.reshape([2] * (2 * q))
-    # reorder row axes to keep+traced, same for column axes
-    perm = keep + traced + [q + i for i in keep] + [q + i for i in traced]
-    t = np.transpose(t, perm)
-    dk, dt = 2 ** len(keep), 2 ** len(traced)
-    t = t.reshape(dk, dt, dk, dt)
-    return DensityMatrix(len(keep), np.einsum("ixjx->ij", t))
+    t = np.transpose(state.amplitudes.reshape([2] * q), keep + traced)
+    mat = t.reshape(2 ** len(keep), 2 ** len(traced))
+    return DensityMatrix(len(keep), mat @ mat.conj().T)
 
 
 def _psd_root(r: DensityMatrix) -> np.ndarray:

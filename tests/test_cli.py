@@ -133,7 +133,7 @@ def test_byte_reproducibility_across_thread_counts(tmp_path):
                 ["equality", "--protocol", "classical", "--n", "3",
                  "--trials", "500", "--seed", "3"],
                 tmp_path,
-                "rep.json",
+                f"rep-{threads}.json",  # the bytes must not depend on --out
             )
         finally:
             del os.environ["QKOLAB_THREADS"]

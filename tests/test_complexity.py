@@ -17,7 +17,6 @@ from qkolab.complexity import (
     knet_upper,
     mixed_complexity_upper,
     observation1_experiment,
-    purify,
 )
 from qkolab.compressor import HEADER_BITS
 from qkolab.errors import DecodeError, InputError
@@ -130,35 +129,6 @@ def test_cbe_sparse_vs_haar():
     assert sparse.compressed_length_bits <= 0.1 * sparse.raw_length_bits
     haar = cbe_upper(StateVector.random(10, RNG), 2.0**-16)
     assert haar.compressed_length_bits >= 0.8 * haar.raw_length_bits
-
-
-def test_purify_examples():
-    pure = purify(DensityMatrix.from_pure(StateVector.computational(1, 0)))
-    assert abs(abs(pure.amplitudes[0]) - 1.0) < 1e-12
-    half = purify(DensityMatrix.maximally_mixed(1))
-    probs = np.abs(half.amplitudes) ** 2
-    assert np.allclose(sorted(probs), [0, 0, 0.5, 0.5])
-
-
-def test_purify_partial_trace_roundtrip():
-    for _ in range(5):
-        v = RNG.random(8)
-        vals = v / v.sum()
-        basis = np.linalg.qr(RNG.standard_normal((8, 8)))[0]
-        rho = DensityMatrix(3, (basis * vals) @ basis.T)
-        psi = purify(rho)
-        back = partial_trace(psi, range(3))
-        assert np.abs(back.entries - rho.entries).max() < 1e-9
-
-
-def test_purify_matches_kron_reference():
-    for q in (1, 2, 3):
-        rho = partial_trace(StateVector.random(2 * q, RNG), range(q))
-        vals, vecs = np.linalg.eigh(rho.entries)
-        ref = sum(
-            np.sqrt(max(v, 0.0)) * np.kron(vecs[:, i], vecs[:, i]) for i, v in enumerate(vals)
-        )
-        assert np.abs(purify(rho).amplitudes - ref / np.linalg.norm(ref)).max() < 1e-12
 
 
 def test_mixed_complexity_filter_and_min():

@@ -105,16 +105,6 @@ def test_partial_trace_pure_oracle():
     assert np.abs(red.entries - 0.5 * np.ones((2, 2))).max() < 1e-12
 
 
-def test_partial_trace_density_matches_statevector_path():
-    for _ in range(10):
-        s = StateVector.random(4, RNG)
-        rho = DensityMatrix.from_pure(s)
-        for keep in ([0], [1, 3], [0, 2]):
-            a = partial_trace(s, keep)
-            b = partial_trace(rho, keep)
-            assert np.abs(a.entries - b.entries).max() < 1e-10
-
-
 def test_uhlmann_fidelity_properties():
     r = DensityMatrix.maximally_mixed(1)
     assert abs(uhlmann_fidelity(r, r) - 1.0) < 1e-12
