@@ -38,12 +38,6 @@ class BitString:
         return obj
 
     @classmethod
-    def from_packed(cls, packed: bytes, length: int) -> "BitString":
-        if length < 0 or len(packed) != (length + 7) // 8:
-            raise InputError("packed buffer does not match declared length")
-        return cls.from_int(int.from_bytes(packed, "big") >> (-length % 8), length)
-
-    @classmethod
     def from_int(cls, value: int, width: int) -> "BitString":
         value = operator.index(value)
         if value < 0 or width < 0 or value >> width:

@@ -1,10 +1,13 @@
 """Experiment runner: seeded, byte-reproducible subcommands over the
 protocol, complexity, fingerprint, and demon modules.
 
-Outputs are canonical JSON (sorted keys, floats formatted %.12g) or
-RFC-4180 CSV, written atomically. A flat key=value config file can supply
-defaults; command-line flags override it. Exit codes: 0 success, 2 bad input
-or undecodable data, 3 a resource cap; errors print one `error:` line.
+Each handler returns the text of its report and `main` writes it, to stdout
+or atomically to `--out`. Reports are canonical JSON (sorted keys, floats
+formatted %.12g) with the parsed flags echoed under "config"; `codes verify`
+and `sweep` can also give their rows as RFC-4180 CSV. A flat key=value config
+file can supply defaults; command-line flags override it. Exit codes: 0
+success, 2 bad input or undecodable data, 3 a resource cap; errors print one
+`error:` line.
 """
 from __future__ import annotations
 
@@ -19,11 +22,7 @@ from dataclasses import asdict
 
 from .bits import BitString
 from .codes import concatenated_code, hadamard_code, simplex_code
-from .complexity import (
-    bell_pair_circuit,
-    cbe_upper,
-    knet_upper,
-)
+from .complexity import bell_pair_circuit, cbe_upper, knet_upper
 from .compressor import METHOD_ID
 from .demon import demon_step, multiphoton_ledger
 from .errors import CapError, InputError, QkolabError
@@ -73,70 +72,41 @@ def atomic_write(path: str, data: str) -> None:
         raise InputError(f"cannot write {path}: {e}") from e
 
 
-def _csv_text(rows: list[dict]) -> str:
-    if not rows:
-        return ""
+def _report(args, report: dict, rows: list[dict] | None = None) -> str:
+    """The report as canonical JSON with the config echo merged in, or its
+    row table as CSV; argparse offers csv only where there are rows."""
+    if args.format == "json":
+        return canonical_json({"config": _config_echo(args)} | report) + "\n"
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=list(rows[0].keys()), lineterminator="\r\n"
-    )
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\r\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow(
-            {
-                k: ("%.12g" % v if isinstance(v, float) else v)
-                for k, v in row.items()
-            }
-        )
+        writer.writerow({k: "%.12g" % v if isinstance(v, float) else v for k, v in row.items()})
     return buf.getvalue()
 
 
-def emit(report: dict, fmt: str, path: str | None, rows: list[dict] | None = None) -> None:
-    """Writes the report (JSON) or its row table (CSV) to path, or prints
-    the JSON to stdout when no path is given."""
-    if fmt == "json":
-        text = canonical_json(report) + "\n"
-    elif fmt == "csv":
-        if rows is None:
-            raise InputError("this subcommand has no CSV row form")
-        text = _csv_text(rows)
-    else:
-        raise InputError(f"unknown format {fmt!r}")
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write(path, text)
+CODES = {
+    "hadamard": lambda n, _c: hadamard_code(n),
+    "simplex": lambda n, _c: simplex_code(n),
+    "concatenated": concatenated_code,
+}
 
 
-def _build_code(args):
-    if args.code == "hadamard":
-        return hadamard_code(args.n)
-    if args.code == "simplex":
-        return simplex_code(args.n)
-    if args.code == "concatenated":
-        return concatenated_code(args.n, args.c)
-    raise InputError(f"unknown code {args.code!r}")
-
-
-def _cmd_codes_verify(args) -> int:
-    code = _build_code(args)  # the factory has verified the distance
+def _cmd_codes_verify(args) -> str:
+    code = CODES[args.code](args.n, args.c)  # the factory has verified the distance
     report = {
-        "config": _config_echo(args),
         "name": code.name,
         "n": code.n,
         "m": code.m,
         "delta_verified": code.delta_verified,
         "verification_mode": code.verification_mode,
     }
-    print(f"delta = {'%.12g' % code.delta_verified}")
-    emit(report, args.format, args.out, rows=[report | {"config": ""}])
-    return 0
+    return _report(args, report, rows=[{"config": ""} | report])
 
 
-def _cmd_equality(args) -> int:
-    code = _build_code(args)
+def _cmd_equality(args) -> str:
     cfg = ExperimentConfig(
-        code,
+        CODES[args.code](args.n, args.c),
         args.protocol,
         args.trials,
         args.seed,
@@ -147,8 +117,7 @@ def _cmd_equality(args) -> int:
         inputs=args.inputs,
     )
     rep = monte_carlo(cfg)
-    report = {
-        "config": _config_echo(args),
+    return _report(args, {
         "decided": rep.decided,
         "restarts": rep.restarts,
         "error_rate": rep.error_rate,
@@ -159,25 +128,20 @@ def _cmd_equality(args) -> int:
             "false_equal": rep.false_equal,
             "false_not_equal": rep.false_not_equal,
         },
-    }
-    emit(report, args.format, args.out)
-    return 0
+    })
 
 
-def _cmd_complexity_report(args) -> int:
+def _cmd_complexity_report(args) -> str:
+    state = None
     if args.target == "bell":
         circuit = bell_pair_circuit(args.n)
-        state = None
-    elif args.target == "fingerprint":
+    else:
         code = hadamard_code(args.n)
         x = _parse_bits(args.x, args.n)
         circuit = build_hx_circuit(code, x)
         state = build_fingerprint(code, x)
-    else:
-        raise InputError(f"unknown target {args.target!r}")
     knet = knet_upper(circuit)
     report = {
-        "config": _config_echo(args),
         "subject": args.target,
         "knet_upper_bits": knet.compressed_length_bits,
         "raw_knet_bits": knet.raw_length_bits,
@@ -190,8 +154,7 @@ def _cmd_complexity_report(args) -> int:
         cbe = cbe_upper(state, args.eps_a)
         report["cbe_upper_bits"] = cbe.compressed_length_bits
         report["raw_cbe_bits"] = cbe.raw_length_bits
-    emit(report, args.format, args.out)
-    return 0
+    return _report(args, report)
 
 
 def _parse_bits(text: str | None, n: int) -> BitString:
@@ -202,32 +165,27 @@ def _parse_bits(text: str | None, n: int) -> BitString:
     return BitString(text)
 
 
-def _cmd_fingerprint_build(args) -> int:
-    code = _build_code(args)
-    text = build_fingerprint(code, _parse_bits(args.x, code.n)).to_json() + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write(args.out, text)
-    return 0
-
-
-def _cmd_fingerprint_extract(args) -> int:
-    code = _build_code(args)
+def _read_text(path: str) -> str:
     try:
-        with open(args.state) as fh:
-            state = StateVector.from_json(fh.read())
-    except OSError as e:
-        raise InputError(f"cannot read {args.state}: {e}") from e
-    res = extract_codeword(state, code)
-    report = {
-        "config": _config_echo(args),
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {path}: {e}") from e
+
+
+def _cmd_fingerprint_build(args) -> str:
+    code = CODES[args.code](args.n, args.c)
+    return build_fingerprint(code, _parse_bits(args.x, code.n)).to_json() + "\n"
+
+
+def _cmd_fingerprint_extract(args) -> str:
+    code = CODES[args.code](args.n, args.c)
+    res = extract_codeword(StateVector.from_json(_read_text(args.state)), code)
+    return _report(args, {
         "word": res.word.to_text(),
         "status": res.status,
         "message": res.message.to_text() if res.message is not None else None,
-    }
-    emit(report, args.format, args.out)
-    return 0
+    })
 
 
 def _ledger_dict(ledger, n: int, m: int) -> dict:
@@ -239,58 +197,49 @@ def _ledger_dict(ledger, n: int, m: int) -> dict:
     }
 
 
-def _cmd_demon_run(args) -> int:
+def _cmd_demon_run(args) -> str:
     record, _post, ledger = demon_step(args.m, args.seed, args.kB, args.T)
-    report = {
-        "config": _config_echo(args),
+    return _report(args, {
         "record": record.full_record.to_text(),
         "outcome": record.outcome_bit,
         "ledger": _ledger_dict(ledger, 1, args.m),
-    }
-    emit(report, args.format, args.out)
-    return 0
+    })
 
 
-def _cmd_demon_multi(args) -> int:
+def _cmd_demon_multi(args) -> str:
     cmp_ = multiphoton_ledger(
         args.n, args.m, args.eps, args.mode, args.kB, args.T, args.seed
     )
-    report = {
-        "config": _config_echo(args),
+    return _report(args, {
         "product": _ledger_dict(cmp_.product, args.n, args.m),
         "entangled": _ledger_dict(cmp_.entangled, args.n, args.m),
         "entangled_exceeds_product": cmp_.entangled_exceeds_product,
-    }
-    emit(report, args.format, args.out)
-    return 0
+    })
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     if args.n_min > args.n_max:
         raise InputError("--n-min must be <= --n-max")
     rows = [
         asdict(row)
         for row in communication_report(range(args.n_min, args.n_max + 1), args.k, args.p)
     ]
-    report = {"config": _config_echo(args), "rows": rows}
-    emit(report, args.format, args.out, rows=rows)
-    return 0
+    return _report(args, {"rows": rows}, rows=rows)
 
 
 def _config_echo(args) -> dict:
-    skip = {"func", "config", "out"}  # so the bytes do not depend on the path
+    # paths stay out, so the bytes do not depend on where files live
+    skip = {"func", "config", "out", "state"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def _add_common(sp, fmt_default: str = "json"):
+def _add_common(sp, formats: tuple[str, ...] = ("json",)):
     sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+    sp.add_argument("--format", choices=formats, default=formats[0])
 
 
 def _add_code_flags(sp):
-    sp.add_argument(
-        "--code", choices=("hadamard", "simplex", "concatenated"), default="hadamard"
-    )
+    sp.add_argument("--code", choices=tuple(CODES), default="hadamard")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--c", type=int, default=4, help="rate multiple for concatenated")
 
@@ -307,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
                     help="ignored: verification is always exact")
     cv.add_argument("--samples", type=int, default=10000, help="ignored")
-    _add_common(cv)
+    _add_common(cv, ("json", "csv"))
     cv.set_defaults(func=_cmd_codes_verify)
 
     eq = sub.add_parser("equality")
@@ -337,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_flags(fb)
     fb.add_argument("--x", required=True)
     fb.add_argument("--out", default=None)
-    fb.set_defaults(func=_cmd_fingerprint_build, format="json")
+    fb.set_defaults(func=_cmd_fingerprint_build)
     fe = fp.add_parser("extract")
     _add_code_flags(fe)
     fe.add_argument("--state", required=True, help="statevector JSON file")
@@ -368,25 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--n-max", dest="n_max", type=int, required=True)
     sw.add_argument("--k", type=int, default=1)
     sw.add_argument("--p", type=int, default=16)
-    _add_common(sw, fmt_default="csv")
+    _add_common(sw, ("csv", "json"))
     sw.set_defaults(func=_cmd_sweep)
     return parser
 
 
 def _load_config_file(path: str) -> list[str]:
     flags = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise InputError(f"bad config line {line!r} (expected key=value)")
-                key, value = line.split("=", 1)
-                flags.extend([f"--{key.strip()}", value.strip()])
-    except OSError as e:
-        raise InputError(f"cannot read config {path}: {e}") from e
+    for line in _read_text(path).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputError(f"bad config line {line!r} (expected key=value)")
+        key, value = line.split("=", 1)
+        flags.extend([f"--{key.strip()}", value.strip()])
     return flags
 
 
@@ -409,7 +354,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_effective_argv(list(argv)))
-        return args.func(args)
+        text = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            atomic_write(args.out, text)
+        return 0
     except CapError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

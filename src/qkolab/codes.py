@@ -36,10 +36,6 @@ class LinearCode:
         gen.setflags(write=False)
         object.__setattr__(self, "generator", gen)
 
-    @property
-    def rate_c(self) -> float:
-        return self.m / self.n
-
 
 def encode(code: LinearCode, x: BitString) -> BitString:
     """x * G over GF(2)."""

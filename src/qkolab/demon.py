@@ -68,6 +68,11 @@ def _check_seed(seed: int) -> None:
         raise InputError(f"seed must be >= 0, got {seed}")
 
 
+def _check_bath(kB: float, T: float) -> None:
+    if not (math.isfinite(kB) and math.isfinite(T) and kB > 0 and T > 0):
+        raise InputError(f"need finite kB > 0 and T > 0, got kB={kB}, T={T}")
+
+
 def angle_from_record(r: BitString) -> float:
     """theta_k = k * pi / 2^m, k read from r most significant bit first."""
     m = len(r)
@@ -88,6 +93,7 @@ def demon_step(
     """
     _check_m(m)
     _check_seed(seed)
+    _check_bath(kB, T)
     rng = np.random.default_rng(seed)
     r = BitString.random(m, rng)
     theta = angle_from_record(r)
@@ -129,6 +135,7 @@ def multiphoton_ledger(
     if not 0 < eps < 1:
         raise InputError("need 0 < eps < 1")
     _check_seed(seed)
+    _check_bath(kB, T)
     product = EntropyLedger(
         S_in=float(n), I_in=0.0, S_fin=0.0, I_fin=float(n * (m + 1)),
         kB=kB, T=T, strategy="product",

@@ -15,12 +15,15 @@ import numpy as np
 
 from .bits import BitString
 from .codes import LinearCode, encode
-from .errors import InputError
+from .errors import CapError, InputError
 from .fingerprint import _description_bits, _fingerprint_qubits, build_fingerprint
 from .fingerprint import decode_state, overlap, quantize_state
 from .states import sample_swap_outcomes
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+# The report's bit counts grow as 2^n: at n = 1024 they have about 310 digits,
+# far inside the 4300-digit limit on printing a Python int.
+REPORT_N_CAP = 1024
 
 EQUAL = "Equal"
 NOT_EQUAL = "NotEqual"
@@ -279,9 +282,12 @@ def communication_report(
     classical simulation sends two fixed-point descriptions of q qubits at p
     bits per real component. q and the description length come from
     ``fingerprint``, which also rejects a p outside the fixed-point layout's
-    range; the ratio column compares the log of the bits with the qubits."""
+    range; the ratio column compares the log of the bits with the qubits.
+    An n above ``REPORT_N_CAP`` raises ``CapError`` before any row is built."""
     if k < 1:
         raise InputError("k must be >= 1")
+    if any(n > REPORT_N_CAP for n in n_range):  # stops at the first n over the cap
+        raise CapError(f"communication report needs n <= {REPORT_N_CAP}")
     rows = []
     for n in n_range:
         if n < 1:

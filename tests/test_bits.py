@@ -17,12 +17,6 @@ def test_text_roundtrip(bits):
     assert len(b) == len(bits)
 
 
-@given(bit_lists)
-def test_packed_roundtrip(bits):
-    b = BitString(bits)
-    assert BitString.from_packed(b.packed, len(b)) == b
-
-
 @given(st.integers(0, 2**30), st.integers(31, 40))
 def test_int_roundtrip(value, width):
     assert BitString.from_int(value, width).to_int() == value
@@ -38,7 +32,6 @@ def test_concat_and_xor(a, b):
 
 def test_padding_bits_do_not_leak():
     assert BitString("101").packed == b"\xa0"
-    assert BitString.from_packed(b"\xa0", 3).to_text() == "101"
 
 
 def test_validation():
@@ -46,8 +39,6 @@ def test_validation():
         BitString("10x")
     with pytest.raises(InputError):
         BitString([0, 2])
-    with pytest.raises(InputError):
-        BitString.from_packed(b"\x00", 9)
     with pytest.raises(InputError):
         BitString("01") ^ BitString("011")
 

@@ -25,10 +25,12 @@ def run(args, tmp_path, name="out.json", fmt=None):
 def test_codes_verify(tmp_path, capsys):
     code, data = run(HADAMARD_VERIFY, tmp_path)
     assert code == 0
-    assert "delta = 0.5" in capsys.readouterr().out
     doc = json.loads(data)
     assert doc["delta_verified"] == 0.5
     assert doc["config"]["n"] == 3
+    capsys.readouterr()
+    assert main(HADAMARD_VERIFY) == 0
+    assert json.loads(capsys.readouterr().out) == doc  # stdout holds the one report
 
 
 def test_codes_verify_ignores_mode_and_caps_n(tmp_path, capsys):
@@ -85,6 +87,16 @@ def test_fingerprint_build_then_extract(tmp_path):
     assert (doc["word"], doc["status"], doc["message"]) == ("0011", "exact", "10")
 
 
+def test_extract_report_does_not_depend_on_state_path(tmp_path):
+    reports = []
+    for name in ("a.json", "b.json"):
+        state = tmp_path / name
+        assert main(["fingerprint", "build", "--n", "2", "--x", "10", "--out", str(state)]) == 0
+        reports.append(run(["fingerprint", "extract", "--n", "2", "--state", str(state)],
+                           tmp_path)[1])
+    assert reports[0] == reports[1]
+
+
 def test_demon_run_and_multi(tmp_path):
     code, data = run(["demon", "run", "--m", "4", "--seed", "1"], tmp_path)
     assert code == 0
@@ -112,6 +124,22 @@ def test_sweep_csv(tmp_path):
 def test_unknown_flag_exits_2(tmp_path, capsys):
     assert main(["equality", "--bogus"]) == 2
     assert main(["nonsense"]) == 2
+
+
+def test_csv_without_a_row_form_is_a_usage_error(monkeypatch, capsys):
+    def fail(cfg):
+        raise AssertionError("monte_carlo ran")
+
+    monkeypatch.setattr("qkolab.cli.monte_carlo", fail)
+    for argv in (
+        ["equality", "--protocol", "classical", "--n", "3", "--trials", "10", "--seed", "1"],
+        ["complexity", "report", "--target", "bell", "--n", "2"],
+        ["fingerprint", "extract", "--n", "2", "--state", "state.json"],
+        ["demon", "run", "--m", "2", "--seed", "1"],
+        ["demon", "multi", "--n", "2", "--m", "3", "--eps", "0.0625"],
+    ):
+        assert main(argv + ["--format", "csv"]) == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_cap_violation_exits_3(tmp_path):
@@ -191,11 +219,28 @@ def test_malformed_state_json_exits_2(tmp_path, capsys, text):
     )
 
 
+@pytest.mark.parametrize("argv", [["fingerprint", "extract", "--n", "2", "--state"],
+                                  ["equality", "--config"]], ids=["state", "config"])
+def test_non_utf8_input_file_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff\xfe")
+    assert_exit_2(argv + [str(path)], capsys)
+
+
 def test_negative_demon_seed_exits_2(capsys):
     assert_exit_2(["demon", "run", "--m", "4", "--seed", "-5"], capsys)
     assert_exit_2(
         ["demon", "multi", "--n", "2", "--m", "3", "--eps", "0.0625", "--seed", "-5"], capsys
     )
+
+
+@pytest.mark.parametrize("flags", [["--T", "-5"], ["--T", "0"], ["--kB", "0"], ["--kB", "inf"]],
+                         ids=["T-negative", "T-zero", "kB-zero", "kB-inf"])
+@pytest.mark.parametrize("cmd", [["demon", "run", "--m", "2", "--seed", "1"],
+                                 ["demon", "multi", "--n", "2", "--m", "3", "--eps", "0.0625"]],
+                         ids=["run", "multi"])
+def test_impossible_kB_or_T_exits_2(capsys, cmd, flags):
+    assert_exit_2(cmd + flags, capsys)
 
 
 def test_zero_indices_per_party_exits_2(capsys):
@@ -235,9 +280,13 @@ def test_sweep_bad_precision_or_copies_exits_2(capsys, flags):
         (["complexity", "report", "--target", "bell", "--n", "16385"], 3),
         (["demon", "run", "--m", "65", "--seed", "1"], 3),
         (["demon", "multi", "--n", "17", "--m", "3", "--eps", "0.1"], 3),
+        (["sweep", "--n-min", "15000", "--n-max", "15000"], 3),
+        (["sweep", "--n-min", "15000", "--n-max", "15000", "--format", "json"], 3),
+        (["sweep", "--n-min", "1", "--n-max", str(10**12)], 3),
     ],
     ids=["report-subnormal-eps", "equality-subnormal-eps", "multi-subnormal-eps", "bell-0",
-         "multi-0", "multi-simulated-0", "run-m-0", "bell-cap", "run-m-cap", "multi-cap"],
+         "multi-0", "multi-simulated-0", "run-m-0", "bell-cap", "run-m-cap", "multi-cap",
+         "sweep-cap-csv", "sweep-cap-json", "sweep-huge-n-max"],
 )
 def test_subnormal_eps_and_zero_counts_exit_2_caps_exit_3(capsys, argv, expected):
     assert main(argv) == expected
@@ -261,7 +310,8 @@ def state_files(tmp_path_factory):
     assert main(["fingerprint", "build", "--n", "2", "--x", "10",
                  "--out", str(root / "good.json")]) == 0
     (root / "bad.json").write_text("[[1, 0], [0]]")
-    return [str(root / "good.json"), str(root / "bad.json"), str(root / "missing.json")]
+    (root / "latin1.json").write_bytes(b"\xff\xfe")
+    return [str(root / n) for n in ("good.json", "bad.json", "latin1.json", "missing.json")]
 
 
 def _req(name, values):
@@ -309,8 +359,9 @@ def _argv_grammar(state_paths):
                   _req("--seed", SEEDS), _opt("--kB", REALS), _opt("--T", REALS), fmt),
         st.tuples(st.just(["demon", "multi"]), _req("--n", SMALL), _req("--m", st.integers(-1, 65)),
                   _req("--eps", REALS), _opt("--mode", choice(["formula", "simulated"])),
-                  _opt("--seed", SEEDS), _opt("--T", REALS), fmt),
-        st.tuples(st.just(["sweep"]), _req("--n-min", SMALL), _req("--n-max", SMALL),
+                  _opt("--seed", SEEDS), _opt("--kB", REALS), _opt("--T", REALS), fmt),
+        st.tuples(st.just(["sweep"]), _req("--n-min", SMALL),
+                  _req("--n-max", st.one_of(SMALL, st.integers(1025, 10**12))),
                   _opt("--k", SMALL), _opt("--p", st.integers(-1, 64)), fmt),
     ]
     return st.one_of(commands).map(lambda parts: sum(parts, []))

@@ -35,7 +35,6 @@ def test_hadamard_delta_exact(n):
     code = hadamard_code(n)
     assert code.delta_verified == 0.5
     assert code.verification_mode == "exhaustive"
-    assert code.rate_c == 2**n / n
 
 
 def test_simplex_properties():

@@ -5,11 +5,12 @@ import pytest
 
 from qkolab.bits import BitString
 from qkolab.codes import concatenated_code, hadamard_code, simplex_code
-from qkolab.errors import InputError
+from qkolab.errors import CapError, InputError
 from qkolab.fingerprint import build_fingerprint, quantize_state
 from qkolab.smp import (
     EQUAL,
     NOT_EQUAL,
+    REPORT_N_CAP,
     RESTART,
     ExperimentConfig,
     communication_report,
@@ -145,6 +146,13 @@ def test_communication_report_formulas():
     by_n = {r.n: r.ratio for r in rows}
     assert by_n[6] > 0.9
     assert by_n[5] > 1.0
+
+
+def test_communication_report_cap():
+    (row,) = communication_report([REPORT_N_CAP], k=1, p=62)
+    assert int(str(row.classical_bits)) == row.classical_bits  # still printable
+    with pytest.raises(CapError):
+        communication_report(range(1, 10**18))  # rejected before any row is built
 
 
 def test_communication_report_counts_the_built_states():
