@@ -26,7 +26,7 @@ from .complexity import bell_pair_circuit, cbe_upper, knet_upper
 from .compressor import METHOD_ID
 from .demon import demon_step, multiphoton_ledger
 from .errors import CapError, InputError, QkolabError
-from .fingerprint import build_fingerprint, build_hx_circuit, extract_codeword
+from .fingerprint import _precision_bits, build_fingerprint, build_hx_circuit, extract_codeword
 from .smp import INPUT_POLICIES, PROTOCOLS, SIM_MODES, ExperimentConfig
 from .smp import communication_report, monte_carlo
 from .states import StateVector
@@ -132,6 +132,7 @@ def _cmd_equality(args) -> str:
 
 
 def _cmd_complexity_report(args) -> str:
+    _precision_bits(args.eps_a)  # echoed for both targets, so checked for both
     state = None
     if args.target == "bell":
         circuit = bell_pair_circuit(args.n)
@@ -229,7 +230,7 @@ def _cmd_sweep(args) -> str:
 
 def _config_echo(args) -> dict:
     # paths stay out, so the bytes do not depend on where files live
-    skip = {"func", "config", "out", "state"}
+    skip = {"func", "out", "state"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
@@ -245,8 +246,9 @@ def _add_code_flags(sp):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qkolab")
-    parser.add_argument("--config", default=None, help="flat key=value defaults file")
+    # _effective_argv reads --config, so any spelling that reaches argparse exits 2
+    parser = argparse.ArgumentParser(
+        prog="qkolab", epilog="--config PATH or --config=PATH: flat key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     codes = sub.add_parser("codes").add_subparsers(dest="action", required=True)
@@ -336,13 +338,16 @@ def _load_config_file(path: str) -> list[str]:
 
 
 def _effective_argv(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    i = next((j for j, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise InputError("--config needs a path")
-    flags = _load_config_file(argv[i + 1])
-    rest = argv[:i] + argv[i + 2 :]
+    _, eq, path = argv[i].partition("=")
+    rest = argv[:i] + argv[i + 1 :]
+    if not eq:
+        if i >= len(rest):
+            raise InputError("--config needs a path")
+        path = rest.pop(i)
+    flags = _load_config_file(path)
     # insert file-supplied flags before explicit flags so the latter win
     split = next((j for j, tok in enumerate(rest) if tok.startswith("-")), len(rest))
     return rest[:split] + flags + rest[split:]

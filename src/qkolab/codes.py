@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import BitString
-from .errors import CapError, InputError
+from .errors import InputError, check_count
 
 VERIFY_N_CAP = 20  # max n for distance verification: a 2^n int64 histogram, 8 MiB at the cap
+M_CAP = 2**16  # max code length, the m of hadamard_code(16)
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,7 @@ def verify_distance(code: LinearCode) -> tuple[float, str]:
     weighs every nonzero message and the mode is always "exhaustive".
     """
     n, m = code.n, code.m
-    if n > VERIFY_N_CAP:
-        raise CapError(f"distance verification needs n <= {VERIFY_N_CAP}, got n={n}")
+    check_count("n", n, VERIFY_N_CAP)
     columns = (1 << np.arange(n - 1, -1, -1)) @ code.generator
     w = np.bincount(columns, minlength=2**n)
     h = 1
@@ -93,16 +93,14 @@ def hadamard_code(n: int) -> LinearCode:
     Positions run over all n-bit vectors in integer order; every nonzero
     codeword has weight 2^(n-1), so delta = 1/2 exactly.
     """
-    if not 1 <= n <= 16:
-        raise InputError(f"hadamard_code needs 1 <= n <= 16, got {n}")
+    check_count("n", n, 16)  # m = 2^n stays within M_CAP
     return _verified(f"hadamard-{n}", n, 2**n, _bit_columns(np.arange(2**n), n))
 
 
 def simplex_code(n: int) -> LinearCode:
     """[2^n - 1, n] simplex code: columns are the nonzero n-bit vectors in
     integer order 1..2^n-1."""
-    if not 1 <= n <= 16:
-        raise InputError(f"simplex_code needs 1 <= n <= 16, got {n}")
+    check_count("n", n, 16)
     return _verified(f"simplex-{n}", n, 2**n - 1, _bit_columns(np.arange(1, 2**n), n))
 
 
@@ -134,11 +132,11 @@ def concatenated_code(n: int, target_rate_c: int) -> LinearCode:
     concatenated construction; the distance is measured, never assumed.
     n = 1 degenerates to the repetition code (delta = 0).
     """
-    if n < 1 or target_rate_c < 2:
-        raise InputError("need n >= 1 and target_rate_c >= 2")
-    if n > VERIFY_N_CAP:  # before the n x c*n generator is allocated
-        raise CapError(f"concatenated_code needs n <= {VERIFY_N_CAP}, got n={n}")
+    if target_rate_c < 2:
+        raise InputError(f"need target_rate_c >= 2, got {target_rate_c}")
+    check_count("n", n, VERIFY_N_CAP)
     m = target_rate_c * n
+    check_count("m", m, M_CAP)  # before the n x m generator is allocated
     if n == 1:
         return _verified(f"concat-1x{target_rate_c}", 1, m, np.ones((1, m), dtype=np.uint8))
     rng = np.random.default_rng(0x51ED_0000 + 65536 * n + target_rate_c)

@@ -1,12 +1,12 @@
 """Compression-based complexity estimators for circuits and states.
 
 The circuit encoding is bit-exact and frozen (format version 2): an 8-bit
-version, 16-bit qubit count, 8-bit basis flag, 8-bit angle precision p
-(0 for the exact basis) and a 32-bit gate count, followed by one record per
-gate: a 6-bit opcode, one delta-coded target per operand (ceil(log2 q) bits
-each, relative to the previously written target, modulo 2^bits) and a p-bit
-angle for parametrized gates. Each gate record is zero-padded to a byte
-boundary, as is the header.
+version, 16-bit qubit count q (encoder and decoder both hold q to [1, 2^15]),
+8-bit basis flag, 8-bit angle precision p (0 for the exact basis) and a
+32-bit gate count, followed by one record per gate: a 6-bit opcode, one
+delta-coded target per operand (ceil(log2 q) bits each, relative to the
+previously written target, modulo 2^bits) and a p-bit angle for parametrized
+gates. Each gate record is zero-padded to a byte boundary, as is the header.
 
 Targets are delta-coded and records byte-aligned so that structurally
 repetitive circuits (the Bell-pair ladder, the per-position conditional
@@ -35,7 +35,7 @@ from .circuits import (
 )
 from .codes import LinearCode, encode_blocks
 from .compressor import ComplexitySurrogate, kcl_upper
-from .errors import CapError, DecodeError, InputError
+from .errors import CapError, DecodeError, InputError, check_count
 from .fingerprint import quantize_state
 from .states import DensityMatrix, StateVector, partial_trace, uhlmann_fidelity
 
@@ -55,8 +55,7 @@ def _target_bits(q: int) -> int:
 
 def encode_circuit(c: Circuit) -> CircuitEncoding:
     """Bit-exact serialization of a circuit; see the module docstring."""
-    if c.q > ENCODING_CAP_QUBITS:
-        raise CapError(f"encoding capped at {ENCODING_CAP_QUBITS} qubits")
+    check_count("q", c.q, ENCODING_CAP_QUBITS)
     if len(c.gates) >= 2**32:
         raise CapError("gate count exceeds the 32-bit record")
     tb = _target_bits(c.q)
@@ -90,7 +89,7 @@ def decode_circuit(e: CircuitEncoding | bytes) -> Circuit:
     basis_flag = r.read_uint(8)
     p = r.read_uint(8)
     count = r.read_uint(32)
-    if q < 1 or basis_flag > 1:
+    if not 1 <= q <= ENCODING_CAP_QUBITS or basis_flag > 1:
         raise DecodeError("implausible header", offset=8)
     tb = _target_bits(q)
     gates = []
@@ -189,10 +188,7 @@ def bell_pair_circuit(n: int) -> Circuit:
     Tracing out the second qubit of every couple leaves the maximally mixed
     state on n qubits.
     """
-    if n < 1:
-        raise InputError(f"n={n} must be at least 1")
-    if 2 * n > ENCODING_CAP_QUBITS:
-        raise CapError(f"n={n} exceeds the cap of {ENCODING_CAP_QUBITS // 2}")
+    check_count("n", n, ENCODING_CAP_QUBITS // 2)
     gates = []
     for i in range(n):
         gates.append(Gate("H", (2 * i,)))

@@ -15,8 +15,8 @@ import numpy as np
 from .bits import BitString
 from .compressor import METHOD_ID
 from .complexity import cbe_upper
-from .errors import CapError, InputError
-from .states import StateVector, _check_qubits
+from .errors import InputError, check_count
+from .states import StateVector
 
 KB_JOULE_PER_KELVIN = 1.380649e-23
 
@@ -47,6 +47,11 @@ class EntropyLedger:
     strategy: str = "single"
     surrogate_method: str | None = None
 
+    def __post_init__(self):
+        # kB * T can overflow where each is finite; NaN fails every comparison
+        if not (self.kB > 0 and self.T > 0 and math.isfinite(self.work_joules)):
+            raise InputError(f"kB={self.kB} and T={self.T} must be > 0 with finite work")
+
     @property
     def delta_total(self) -> float:
         return (self.S_fin + self.I_fin) - (self.S_in + self.I_in)
@@ -56,21 +61,9 @@ class EntropyLedger:
         return self.delta_total * self.kB * self.T * math.log(2.0)
 
 
-def _check_m(m: int) -> None:
-    if m < 1:
-        raise InputError(f"m={m} must be at least 1")
-    if m > DEMON_M_CAP:
-        raise CapError(f"m={m} exceeds the cap of {DEMON_M_CAP}")
-
-
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-
-
-def _check_bath(kB: float, T: float) -> None:
-    if not (math.isfinite(kB) and math.isfinite(T) and kB > 0 and T > 0):
-        raise InputError(f"need finite kB > 0 and T > 0, got kB={kB}, T={T}")
 
 
 def angle_from_record(r: BitString) -> float:
@@ -91,9 +84,8 @@ def demon_step(
     is converted into an (m+1)-bit record, so the ledger balance is m bits
     and the associated work is m*kB*T*ln2.
     """
-    _check_m(m)
+    check_count("m", m, DEMON_M_CAP)
     _check_seed(seed)
-    _check_bath(kB, T)
     rng = np.random.default_rng(seed)
     r = BitString.random(m, rng)
     theta = angle_from_record(r)
@@ -131,26 +123,25 @@ def multiphoton_ledger(
     simulated mode books the compressed length of an actual amplitude-list
     description of a seeded random projection target.
     """
-    _check_m(m)
+    check_count("m", m, DEMON_M_CAP)
     if not 0 < eps < 1:
         raise InputError("need 0 < eps < 1")
     _check_seed(seed)
-    _check_bath(kB, T)
-    product = EntropyLedger(
-        S_in=float(n), I_in=0.0, S_fin=0.0, I_fin=float(n * (m + 1)),
-        kB=kB, T=T, strategy="product",
-    )
     if mode == "formula":
-        _check_qubits(n, FORMULA_N_CAP)
+        check_count("n", n, FORMULA_N_CAP)
         i_fin = 2**n * -math.log2(eps)  # finite for subnormal eps, unlike 1/eps
         method = None
     elif mode == "simulated":
-        _check_qubits(n, SIMULATED_N_CAP)
+        check_count("n", n, SIMULATED_N_CAP)
         target = StateVector.random(n, np.random.default_rng(seed))
         i_fin = float(cbe_upper(target, eps).compressed_length_bits)
         method = METHOD_ID
     else:
         raise InputError(f"unknown mode {mode!r}")
+    product = EntropyLedger(
+        S_in=float(n), I_in=0.0, S_fin=0.0, I_fin=float(n * (m + 1)),
+        kB=kB, T=T, strategy="product",
+    )
     entangled = EntropyLedger(
         S_in=float(n), I_in=0.0, S_fin=0.0, I_fin=i_fin,
         kB=kB, T=T, strategy="entangled", surrogate_method=method,

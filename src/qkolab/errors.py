@@ -19,3 +19,11 @@ class DecodeError(QkolabError):
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} (bit offset {offset})")
         self.offset = offset
+
+
+def check_count(name: str, value: int, cap: int | None = None) -> None:
+    """Bad input below one, a cap above; callers check before allocating."""
+    if value < 1:
+        raise InputError(f"{name}={value} must be at least 1")
+    if cap is not None and value > cap:
+        raise CapError(f"{name}={value} exceeds the cap of {cap}")

@@ -22,14 +22,14 @@ from .circuits import (
     multi_controlled_x,
 )
 from .codes import LinearCode, decode_message, encode
-from .errors import CapError, DecodeError, InputError
-from .states import STATE_QUBIT_CAP, NORM_TOL, StateVector, _check_qubits, fidelity
+from .errors import CapError, DecodeError, InputError, check_count
+from .states import STATE_QUBIT_CAP, NORM_TOL, StateVector, fidelity
 
 HEADER_BITS = 64  # 16-bit q, 16-bit p, 32-bit reserved
 
 
-# The two layout facts. Both run once per protocol trial, so they stay
-# private: a traced run spans every public function call.
+# The two layout facts and the precision rule. Each runs once per protocol
+# trial, so they stay private: a traced run spans every public function call.
 def _fingerprint_qubits(m: int) -> int:
     """Qubits of a fingerprint over m positions: ceil(log2 m) index qubits,
     at least one, plus the value qubit. It is also the width of one
@@ -45,6 +45,17 @@ def _description_bits(q: int, p: int) -> int:
     return 2 ** (q + 1) * p + HEADER_BITS
 
 
+def _precision_bits(eps_a: float) -> int:
+    """p = max(2, ceil(log2(1/eps_a))) bits per real component; p is at most
+    62, so an eps_a with log2(1/eps_a) > 62 is bad input, as is one outside (0, 1)."""
+    if not 0 < eps_a < 1:
+        raise InputError(f"need 0 < eps_a < 1, got {eps_a}")
+    bits = math.log2(1.0 / eps_a)  # inf for a subnormal eps_a
+    if not bits <= 62:
+        raise InputError(f"eps_a={eps_a} needs more than 62 bits per real component")
+    return max(2, math.ceil(bits))
+
+
 def build_fingerprint(code: LinearCode, x: BitString) -> StateVector:
     """Exact statevector with amplitude 1/sqrt(m) on the m states |i>|E_i(x)>.
 
@@ -53,7 +64,7 @@ def build_fingerprint(code: LinearCode, x: BitString) -> StateVector:
     """
     word = encode(code, x)
     q = _fingerprint_qubits(code.m)
-    _check_qubits(q, STATE_QUBIT_CAP)
+    check_count("q", q, STATE_QUBIT_CAP)
     amps = np.zeros(2**q, dtype=np.complex128)
     amps[2 * np.arange(code.m) + word.bits()] = 1.0 / math.sqrt(code.m)
     return StateVector(q, amps)
@@ -140,20 +151,14 @@ class QuantizedDescription:
 
 
 def quantize_state(s: StateVector, eps_a: float) -> QuantizedDescription:
-    """Fixed-point description with p = max(2, ceil(log2(1/eps_a))) bits per
-    real; p is at most 62, so an eps_a with log2(1/eps_a) > 62 is bad input.
+    """Fixed-point description with p = _precision_bits(eps_a) bits per real.
 
     Layout (bit-exact, big-endian): 16-bit q, 16-bit p, 32-bit reserved,
     then the 2^q real parts followed by the 2^q imaginary parts in basis
     rank order, each a p-bit two's-complement integer at scale 2^(1-p),
     zero-padded to a byte boundary.
     """
-    if not 0 < eps_a < 1:
-        raise InputError(f"need 0 < eps_a < 1, got {eps_a}")
-    bits = math.log2(1.0 / eps_a)  # inf for a subnormal eps_a
-    if not bits <= 62:
-        raise InputError(f"eps_a={eps_a} needs more than 62 bits per real component")
-    p = max(2, math.ceil(bits))
+    p = _precision_bits(eps_a)
     length = _description_bits(s.q, p)
     scale = 2.0 ** (p - 1)
     lo, hi = -(2 ** (p - 1)), 2 ** (p - 1) - 1
@@ -180,7 +185,7 @@ def decode_state(d: QuantizedDescription | bytes) -> StateVector:
     if reader.read_uint(32):
         raise DecodeError("reserved field is nonzero", offset=32)
     try:
-        _check_qubits(q, STATE_QUBIT_CAP)
+        check_count("q", q, STATE_QUBIT_CAP)
         length = _description_bits(q, p)
     except (CapError, InputError):
         raise DecodeError(f"implausible header q={q}, p={p}", offset=0) from None

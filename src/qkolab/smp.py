@@ -15,8 +15,8 @@ import numpy as np
 
 from .bits import BitString
 from .codes import LinearCode, encode
-from .errors import CapError, InputError
-from .fingerprint import _description_bits, _fingerprint_qubits, build_fingerprint
+from .errors import InputError, check_count
+from .fingerprint import _description_bits, _fingerprint_qubits, _precision_bits, build_fingerprint
 from .fingerprint import decode_state, overlap, quantize_state
 from .states import sample_swap_outcomes
 
@@ -24,6 +24,9 @@ WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 # The report's bit counts grow as 2^n: at n = 1024 they have about 310 digits,
 # far inside the 4300-digit limit on printing a Python int.
 REPORT_N_CAP = 1024
+# SWAP-test copies, k floats drawn per trial; at agreement bound 1/2 an unequal
+# pair passes all k tests with probability (5/8)^k, below 1e-200 at the cap.
+K_CAP = 1024
 
 EQUAL = "Equal"
 NOT_EQUAL = "NotEqual"
@@ -50,12 +53,12 @@ class ExperimentConfig:
     inputs: str = "random-unequal"  # a key of INPUT_POLICIES
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InputError("trials must be >= 1")
-        if self.k < 1:
-            raise InputError("k must be >= 1")
-        if self.s is not None and self.s < 1:
-            raise InputError("s must be >= 1")
+        check_count("trials", self.trials)
+        check_count("k", self.k, K_CAP)
+        if self.s is not None:
+            check_count("s", self.s)
+        if self.eps_a is not None:
+            _precision_bits(self.eps_a)
         if self.protocol not in PROTOCOLS:
             raise InputError(f"unknown protocol {self.protocol!r}")
         if self.inputs not in INPUT_POLICIES:
@@ -126,8 +129,7 @@ def run_quantum_equality(
 ) -> Transcript:
     """k-copy fingerprint protocol: the referee SWAP-tests each copy pair and
     declares Equal only when every ancilla reads 0 (one-sided)."""
-    if k < 1:
-        raise InputError("k must be >= 1")
+    check_count("k", k)
     decision = _swap_decision(overlap(code, x, y), k, seed)
     return Transcript(0, 2 * k * _fingerprint_qubits(code.m), decision)
 
@@ -283,15 +285,12 @@ def communication_report(
     bits per real component. q and the description length come from
     ``fingerprint``, which also rejects a p outside the fixed-point layout's
     range; the ratio column compares the log of the bits with the qubits.
-    An n above ``REPORT_N_CAP`` raises ``CapError`` before any row is built."""
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if any(n > REPORT_N_CAP for n in n_range):  # stops at the first n over the cap
-        raise CapError(f"communication report needs n <= {REPORT_N_CAP}")
+    Every n is checked against ``REPORT_N_CAP`` before any row is built."""
+    check_count("k", k, K_CAP)
+    for n in n_range:  # stops at the first bad n
+        check_count("n", n, REPORT_N_CAP)
     rows = []
     for n in n_range:
-        if n < 1:
-            raise InputError("n must be >= 1")
         q = _fingerprint_qubits(2**n)
         qubits = 2 * k * q
         bits = 2 * _description_bits(q, p)

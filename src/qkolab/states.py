@@ -14,20 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapError, InputError
+from .errors import InputError, check_count
 
 NORM_TOL = 1e-10
 EIG_FLOOR = 1e-9
 STATE_QUBIT_CAP = 20
 DENSITY_QUBIT_CAP = 10
-
-
-def _check_qubits(q: int, cap: int) -> None:
-    """Bad input below one qubit, a cap above; callers check before allocating."""
-    if q < 1:
-        raise InputError(f"qubit count {q} must be at least 1")
-    if q > cap:
-        raise CapError(f"qubit count {q} exceeds the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -36,7 +28,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_qubits(self.q, STATE_QUBIT_CAP)
+        check_count("q", self.q, STATE_QUBIT_CAP)
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**self.q,):
             raise InputError(f"expected {2**self.q} amplitudes, got {amps.shape}")
@@ -81,7 +73,7 @@ class DensityMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_qubits(self.q, DENSITY_QUBIT_CAP)
+        check_count("q", self.q, DENSITY_QUBIT_CAP)
         mat = np.ascontiguousarray(self.entries, dtype=np.complex128)
         dim = 2**self.q
         if mat.shape != (dim, dim):
@@ -97,12 +89,12 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, s: StateVector) -> "DensityMatrix":
-        _check_qubits(s.q, DENSITY_QUBIT_CAP)
+        check_count("q", s.q, DENSITY_QUBIT_CAP)
         return cls(s.q, np.outer(s.amplitudes, s.amplitudes.conj()))
 
     @classmethod
     def maximally_mixed(cls, q: int) -> "DensityMatrix":
-        _check_qubits(q, DENSITY_QUBIT_CAP)
+        check_count("q", q, DENSITY_QUBIT_CAP)
         return cls(q, np.eye(2**q) / 2**q)
 
 
@@ -135,7 +127,7 @@ def swap_test_circuit(a: StateVector, b: StateVector) -> tuple[float, float]:
         raise InputError(f"dimension mismatch: {a.q} vs {b.q} qubits")
     q = a.q
     total = 2 * q + 1
-    _check_qubits(total, STATE_QUBIT_CAP)
+    check_count("q", total, STATE_QUBIT_CAP)
     state = np.kron([1.0 + 0j, 0.0], np.kron(a.amplitudes, b.amplitudes))
     state = _apply_1q(state, _HADAMARD, 0)
     for i in range(q):

@@ -180,6 +180,21 @@ def test_config_file_defaults_and_override(tmp_path):
     assert json.loads(over)["config"]["trials"] == 300
 
 
+def test_config_equals_spelling_reads_the_file_and_abbreviations_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials=7\nseed=4\n")
+    cmd = ["equality", "--protocol", "quantum", "--n", "2"]
+    _, data = run([f"--config={cfg}"] + cmd, tmp_path)
+    config = json.loads(data)["config"]
+    assert (config["trials"], config["seed"]) == (7, 4)
+    # spellings argparse would take for --config and then never read
+    full = cmd + ["--trials", "5", "--seed", "1"]
+    for spelling in (["--conf", str(cfg)], [f"--conf={cfg}"], ["--co", str(cfg)],
+                     ["--config", str(cfg), "--config", str(cfg)]):
+        assert main(spelling + full) == 2, spelling
+        assert "usage:" in capsys.readouterr().err
+
+
 def test_canonical_json_formatting():
     text = canonical_json({"b": 0.1 + 0.2, "a": [1, 2.5, None, True]})
     assert '"a"' in text and text.index('"a"') < text.index('"b"')
@@ -283,10 +298,24 @@ def test_sweep_bad_precision_or_copies_exits_2(capsys, flags):
         (["sweep", "--n-min", "15000", "--n-max", "15000"], 3),
         (["sweep", "--n-min", "15000", "--n-max", "15000", "--format", "json"], 3),
         (["sweep", "--n-min", "1", "--n-max", str(10**12)], 3),
+        (["demon", "multi", "--n", str(10**400), "--m", "3", "--eps", "0.1"], 3),
+        (["codes", "verify", "--code", "hadamard", "--n", "0"], 2),
+        (["codes", "verify", "--code", "simplex", "--n", "0"], 2),
+        (["codes", "verify", "--code", "hadamard", "--n", "17"], 3),
+        (["codes", "verify", "--code", "simplex", "--n", "17"], 3),
+        (["equality", "--protocol", "quantum", "--n", "2", "--k", str(10**30), "--trials", "1",
+          "--seed", "1"], 3),
+        (["sweep", "--n-min", "1", "--n-max", "1", "--k", str(10**308)], 3),
+        (["codes", "verify", "--code", "concatenated", "--n", "2", "--c", str(10**30)], 3),
+        (["complexity", "report", "--target", "bell", "--n", "2", "--eps-a", "-1"], 2),
+        (["equality", "--protocol", "quantum", "--n", "2", "--trials", "5", "--seed", "1",
+          "--eps-a", "-3"], 2),
     ],
     ids=["report-subnormal-eps", "equality-subnormal-eps", "multi-subnormal-eps", "bell-0",
          "multi-0", "multi-simulated-0", "run-m-0", "bell-cap", "run-m-cap", "multi-cap",
-         "sweep-cap-csv", "sweep-cap-json", "sweep-huge-n-max"],
+         "sweep-cap-csv", "sweep-cap-json", "sweep-huge-n-max", "multi-huge-n", "hadamard-0",
+         "simplex-0", "hadamard-cap", "simplex-cap", "equality-huge-k", "sweep-huge-k",
+         "concatenated-huge-c", "bell-unused-eps-a", "quantum-unused-eps-a"],
 )
 def test_subnormal_eps_and_zero_counts_exit_2_caps_exit_3(capsys, argv, expected):
     assert main(argv) == expected
@@ -323,6 +352,9 @@ def _opt(name, values):
 
 
 SMALL = st.integers(-1, 4)
+# --k and --c: at most their caps, or so far above them that a missed cap
+# check would allocate without bound; never a slow value in between
+COUNTS = st.one_of(SMALL, st.integers(10**12, 10**30))
 SEEDS = st.integers(-5, 5)
 REALS = st.sampled_from(
     ["-1", "0", "1e-300", "5e-324", "0.0625", "0.5", "1", "2", "nan", "inf"]
@@ -334,26 +366,30 @@ def _argv_grammar(state_paths):
     """Every subcommand with its required flags present, their values and
     the optional flags drawn from small ranges that include invalid ones."""
     choice = st.sampled_from
-    code = st.tuples(
-        _opt("--code", choice(["hadamard", "simplex", "concatenated"])),
-        _req("--n", SMALL), _opt("--c", SMALL),
-    ).map(lambda parts: sum(parts, []))
+
+    def code(n=SMALL):
+        return st.tuples(
+            _opt("--code", choice(["hadamard", "simplex", "concatenated"])),
+            _req("--n", n), _opt("--c", COUNTS),
+        ).map(lambda parts: sum(parts, []))
+
     fmt = _opt("--format", choice(["json", "csv"]))
     commands = [
-        st.tuples(st.just(["codes", "verify"]), code,
+        # n around the caps only here: a hadamard-16 fingerprint circuit has millions of gates
+        st.tuples(st.just(["codes", "verify"]), code(st.one_of(SMALL, choice([16, 17, 20, 21]))),
                   _opt("--mode", choice(["exhaustive", "sampled"])), fmt),
         st.tuples(
             st.just(["equality"]),
             _req("--protocol", choice(["classical", "classical-multi", "quantum", "classical-sim"])),
-            code, _opt("--k", SMALL), _opt("--s", SMALL),
+            code(), _opt("--k", COUNTS), _opt("--s", SMALL),
             _req("--trials", st.integers(-1, 20)), _req("--seed", SEEDS),
             _opt("--eps-a", REALS), _opt("--mode", choice(["threshold", "sampled"])),
             _opt("--inputs", choice(["random-unequal", "random-equal"])), fmt,
         ),
         st.tuples(st.just(["complexity", "report"]), _req("--target", choice(["bell", "fingerprint"])),
                   _req("--n", SMALL), _opt("--x", BITS_TEXT), _opt("--eps-a", REALS), fmt),
-        st.tuples(st.just(["fingerprint", "build"]), code, _req("--x", BITS_TEXT)),
-        st.tuples(st.just(["fingerprint", "extract"]), code,
+        st.tuples(st.just(["fingerprint", "build"]), code(), _req("--x", BITS_TEXT)),
+        st.tuples(st.just(["fingerprint", "extract"]), code(),
                   _req("--state", choice(state_paths)), fmt),
         st.tuples(st.just(["demon", "run"]), _req("--m", st.integers(-1, 65)),
                   _req("--seed", SEEDS), _opt("--kB", REALS), _opt("--T", REALS), fmt),
@@ -362,7 +398,7 @@ def _argv_grammar(state_paths):
                   _opt("--seed", SEEDS), _opt("--kB", REALS), _opt("--T", REALS), fmt),
         st.tuples(st.just(["sweep"]), _req("--n-min", SMALL),
                   _req("--n-max", st.one_of(SMALL, st.integers(1025, 10**12))),
-                  _opt("--k", SMALL), _opt("--p", st.integers(-1, 64)), fmt),
+                  _opt("--k", COUNTS), _opt("--p", st.integers(-1, 64)), fmt),
     ]
     return st.one_of(commands).map(lambda parts: sum(parts, []))
 

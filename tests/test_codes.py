@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qkolab.bits import BitString
 from qkolab.codes import (
+    M_CAP,
     VERIFY_N_CAP,
     LinearCode,
     concatenated_code,
@@ -51,6 +52,17 @@ def test_concatenated_code_deterministic_and_verified():
     assert a.m == 16
     assert 0.0 <= a.delta_verified <= 1.0
     assert concatenated_code(1, 5).delta_verified == 0.0  # repetition code
+
+
+def test_factory_counts_below_one_are_bad_input_and_above_the_cap_capped():
+    for factory in (hadamard_code, simplex_code):
+        with pytest.raises(InputError):
+            factory(0)
+        with pytest.raises(CapError):
+            factory(17)
+    with pytest.raises(CapError):
+        concatenated_code(2, 10**30)  # m = n*c, checked before the generator exists
+    assert concatenated_code(1, M_CAP).m == M_CAP
 
 
 def _enumerated_delta(gen):

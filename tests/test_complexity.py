@@ -9,6 +9,7 @@ from qkolab.bits import BitString
 from qkolab.circuits import Circuit, Gate, quantize_angle
 from qkolab.codes import hadamard_code
 from qkolab.complexity import (
+    ENCODING_CAP_QUBITS,
     FORMAT_VERSION,
     bell_pair_circuit,
     cbe_upper,
@@ -19,7 +20,7 @@ from qkolab.complexity import (
     observation1_experiment,
 )
 from qkolab.compressor import HEADER_BITS
-from qkolab.errors import DecodeError, InputError
+from qkolab.errors import CapError, DecodeError, InputError
 from qkolab.fingerprint import build_fingerprint, build_hx_circuit, quantize_state
 from qkolab.states import DensityMatrix, StateVector, partial_trace
 
@@ -95,6 +96,19 @@ def test_decode_errors_carry_offsets():
         decode_circuit(bytes([FORMAT_VERSION + 1]) + bytes(8))
     with pytest.raises(DecodeError):
         decode_circuit(bytes.fromhex("0200020000000000ff"))  # truncated count
+
+
+def test_format_v2_qubit_range_is_the_same_both_ways():
+    with pytest.raises(InputError):
+        encode_circuit(Circuit(0, ()))
+    with pytest.raises(CapError):
+        encode_circuit(Circuit(ENCODING_CAP_QUBITS + 1, ()))
+    top = Circuit(ENCODING_CAP_QUBITS, ())
+    assert decode_circuit(encode_circuit(top)) == top
+    for q in (0, ENCODING_CAP_QUBITS + 1, 2**16 - 1):
+        header = bytes([FORMAT_VERSION]) + q.to_bytes(2, "big") + bytes(6)
+        with pytest.raises(DecodeError):
+            decode_circuit(header)
 
 
 def test_knet_never_exceeds_raw_plus_header():

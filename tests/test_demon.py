@@ -78,3 +78,13 @@ def test_multiphoton_simulated_mode():
     with pytest.raises(CapError):
         multiphoton_ledger(17, 3, eps=0.5)
 
+
+def test_kB_T_overflow_is_bad_input():
+    # kB and T are each finite, the work they price is not
+    with pytest.raises(InputError, match="kB"):
+        demon_step(4, seed=1, kB=1e300, T=1e300)
+    with pytest.raises(InputError, match="kB"):
+        multiphoton_ledger(2, 3, eps=0.0625, kB=1e300, T=1e300)
+    # here only the entangled balance, 2^16 * 1074 bits, overflows
+    with pytest.raises(InputError, match="kB"):
+        multiphoton_ledger(16, 64, eps=5e-324, kB=1e150, T=1e155)

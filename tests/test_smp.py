@@ -9,6 +9,7 @@ from qkolab.errors import CapError, InputError
 from qkolab.fingerprint import build_fingerprint, quantize_state
 from qkolab.smp import (
     EQUAL,
+    K_CAP,
     NOT_EQUAL,
     REPORT_N_CAP,
     RESTART,
@@ -125,6 +126,10 @@ def test_monte_carlo_validation():
         ExperimentConfig(CODE4, "classical-sim", 1, 0)
     with pytest.raises(InputError, match="mode"):
         ExperimentConfig(CODE4, "quantum", 1, 0, mode="bogus")
+    with pytest.raises(InputError, match="eps_a"):
+        ExperimentConfig(CODE4, "quantum", 1, 0, eps_a=-3.0)  # quantum never reads it
+    with pytest.raises(CapError):
+        ExperimentConfig(CODE4, "quantum", 1, 0, k=K_CAP + 1)  # before k floats are drawn
 
 
 def test_wilson_interval_basics():
@@ -153,6 +158,9 @@ def test_communication_report_cap():
     assert int(str(row.classical_bits)) == row.classical_bits  # still printable
     with pytest.raises(CapError):
         communication_report(range(1, 10**18))  # rejected before any row is built
+    assert communication_report([1], k=K_CAP)[0].qubits == 2 * K_CAP * 2
+    with pytest.raises(CapError):
+        communication_report([1], k=10**308)
 
 
 def test_communication_report_counts_the_built_states():
