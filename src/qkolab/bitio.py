@@ -1,4 +1,5 @@
-"""Big-endian bit-level writer/reader used by the frozen binary formats."""
+"""Big-endian bit-level writer/reader for the header of the fixed-point
+state layout (``fingerprint.quantize_state``/``decode_state``)."""
 from __future__ import annotations
 
 from .errors import DecodeError

@@ -11,13 +11,14 @@ grid over [0, 2*pi); p is recorded on the circuit so encodings are bit-exact.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count
 from .states import StateVector, _apply_1q, _apply_controlled
 
 EXACT_BASIS = ("H", "X", "Z", "S", "T", "CNOT")
@@ -29,11 +30,12 @@ PARAMETRIZED = frozenset({"RY", "RZ"})
 TWO_QUBIT = frozenset({"CNOT"})
 
 DEFAULT_ANGLE_BITS = 16
+ANGLE_BITS_CAP = 32  # every format-v2 gate record then fits one 64-bit word
 
 MCX_DECOMPOSITION_ID = "mcx-rootrec-v1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     name: str
     targets: tuple[int, ...]
@@ -47,6 +49,8 @@ class Gate:
             raise InputError(f"{self.name} needs {arity} distinct target(s)")
         if (self.angle is not None) != (self.name in PARAMETRIZED):
             raise InputError(f"angle must be present iff the gate is parametrized")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise InputError(f"angle {self.angle} is not finite")
 
 
 @dataclass(frozen=True)
@@ -59,14 +63,42 @@ class Circuit:
     def __post_init__(self):
         if self.basis not in ("exact", "quantized"):
             raise InputError(f"unknown basis {self.basis!r}")
-        if (self.basis == "quantized") != (self.p > 0):
-            raise InputError("quantized basis requires p > 0, exact requires p == 0")
+        if self.basis == "quantized":
+            check_count("p", self.p, ANGLE_BITS_CAP)
+        elif self.p != 0:
+            raise InputError("the exact basis requires p == 0")
         allowed = QUANTIZED_BASIS if self.basis == "quantized" else EXACT_BASIS
         for g in self.gates:
             if g.name not in allowed:
                 raise InputError(f"gate {g.name} not in the {self.basis} basis")
             if any(t < 0 or t >= self.q for t in g.targets):
                 raise InputError(f"gate target out of range for q={self.q}")
+
+
+_GATE_NEW = object.__new__
+_SET_NAME, _SET_TARGETS, _SET_ANGLE = (Gate.__dict__[f].__set__ for f in ("name", "targets", "angle"))
+
+
+def _trusted_gate(name: str, targets: tuple[int, ...], angle: float | None) -> Gate:
+    g = _GATE_NEW(Gate)
+    _SET_NAME(g, name)
+    _SET_TARGETS(g, targets)
+    _SET_ANGLE(g, angle)
+    return g
+
+
+def _trusted_circuit(q: int, basis: str, p: int, names: Iterable[str],
+                     targets: Iterable[tuple[int, ...]], angles: Iterable[float | None]) -> Circuit:
+    """Circuit of the given gate fields, none of them validated.
+
+    For decoders that have already checked the whole payload the way
+    Gate and Circuit would: it skips both __post_init__ methods.
+    """
+    c = object.__new__(Circuit)
+    gates = tuple(map(_trusted_gate, names, targets, angles))
+    for attr, value in (("q", q), ("gates", gates), ("basis", basis), ("p", p)):
+        object.__setattr__(c, attr, value)
+    return c
 
 
 def quantize_angle(theta: float, p: int) -> float:
@@ -151,6 +183,18 @@ def _emit_mcxroot(
     _emit_mcxroot([last], target, s + 1, -sign, p, out)
     _emit_mcxroot(rest, last, 0, 1, p, out)
     _emit_mcxroot(rest, target, s + 1, sign, p, out)
+
+
+@functools.lru_cache(maxsize=None)
+def _mcx_gate_count(controls: int, s: int = 0) -> int:
+    """Gates _emit_mcxroot emits for this many controls at root level s,
+    counted without building them."""
+    if controls == 0:
+        return 1
+    if controls == 1:
+        return 1 if s == 0 else 7  # a CNOT, or H + controlled phase (5) + H
+    return (2 * _mcx_gate_count(1, s + 1) + 2 * _mcx_gate_count(controls - 1)
+            + _mcx_gate_count(controls - 1, s + 1))
 
 
 def multi_controlled_x(

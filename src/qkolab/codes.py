@@ -50,7 +50,10 @@ def encode_blocks(code: LinearCode, x: BitString) -> BitString:
     if x.length == 0 or x.length % code.n:
         raise InputError(f"length {x.length} is not a positive multiple of n={code.n}")
     blocks = x.bits().reshape(-1, code.n)
-    return BitString(((blocks @ code.generator) % 2).reshape(-1))
+    words = np.zeros((len(blocks), code.m), dtype=np.uint8)
+    for j, row in enumerate(code.generator):  # XOR row j into the blocks with bit j set
+        words[blocks[:, j] == 1] ^= row
+    return BitString._from_packed(np.packbits(words).tobytes(), words.size)
 
 
 def _bit_columns(values: np.ndarray, n: int) -> np.ndarray:

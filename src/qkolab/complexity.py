@@ -2,11 +2,14 @@
 
 The circuit encoding is bit-exact and frozen (format version 2): an 8-bit
 version, 16-bit qubit count q (encoder and decoder both hold q to [1, 2^15]),
-8-bit basis flag, 8-bit angle precision p (0 for the exact basis) and a
-32-bit gate count, followed by one record per gate: a 6-bit opcode, one
-delta-coded target per operand (ceil(log2 q) bits each, relative to the
-previously written target, modulo 2^bits) and a p-bit angle for parametrized
-gates. Each gate record is zero-padded to a byte boundary, as is the header.
+8-bit basis flag, 8-bit angle precision p (0 for the exact basis; [1, 32]
+for the quantized one, both ways) and a 32-bit gate count, followed by one
+record per gate: a 6-bit opcode, one delta-coded target per operand
+(ceil(log2 q) bits each, relative to the previously written target, modulo
+2^bits) and a p-bit angle for parametrized gates. Each gate record is
+zero-padded to a byte boundary, as is the header. With q and p capped a
+record has at most 6 + 15 + 32 bits, so the codec handles each record as
+one uint64 and the whole circuit as numpy arrays.
 
 Targets are delta-coded and records byte-aligned so that structurally
 repetitive circuits (the Bell-pair ladder, the per-position conditional
@@ -17,20 +20,23 @@ the Bell-pair family grows linearly instead of staying near-constant.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import spearmanr
 
-from .bitio import BitReader, BitWriter
 from .bits import BitString
 from .circuits import (
+    ANGLE_BITS_CAP,
     Circuit,
     Gate,
     OPCODES,
     OPNAMES,
     PARAMETRIZED,
     TWO_QUBIT,
+    _trusted_circuit,
     apply_circuit,
 )
 from .codes import LinearCode, encode_blocks
@@ -41,6 +47,9 @@ from .states import DensityMatrix, StateVector, partial_trace, uhlmann_fidelity
 
 FORMAT_VERSION = 2
 ENCODING_CAP_QUBITS = 2**15
+
+_HEADER = struct.Struct(">BHBBI")  # version, q, basis flag, p, gate count
+_CNOT, _RY, _RZ = OPCODES["CNOT"], OPCODES["RY"], OPCODES["RZ"]
 
 
 @dataclass(frozen=True)
@@ -53,65 +62,141 @@ def _target_bits(q: int) -> int:
     return max(1, math.ceil(math.log2(q))) if q > 1 else 0
 
 
+def _record_bits(tb: int, p: int) -> np.ndarray:
+    """Record length in bits before padding, indexed by the 6-bit opcode;
+    0 for the unassigned opcodes."""
+    bits = np.zeros(64, dtype=np.uint8)
+    for op, name in OPNAMES.items():
+        bits[op] = 6 + tb * (2 if name in TWO_QUBIT else 1) + p * (name in PARAMETRIZED)
+    return bits
+
+
+def _record_words(c: Circuit, tb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each gate record as one uint64, (op << tb | t1) [<< tb | t2] [<< p | grid],
+    and the opcodes."""
+    n = len(c.gates)
+    ops = np.fromiter((OPCODES[g.name] for g in c.gates), np.uint8, n)
+    deltas = np.fromiter((t for g in c.gates for t in g.targets), np.int64)
+    deltas[1:] -= deltas[:-1]
+    deltas = (deltas % 2**tb).view(np.uint64)
+    two = ops == _CNOT
+    first = np.arange(n)  # index of each gate's first target in deltas
+    first[1:] += np.cumsum(two[:-1])
+    word = ops.astype(np.uint64) << tb | deltas[first]
+    cnots = np.flatnonzero(two)
+    word[cnots] = word[cnots] << tb | deltas[first[cnots] + 1]
+    rotations = np.flatnonzero((ops == _RY) | (ops == _RZ))
+    if rotations.size:
+        angles = np.array([g.angle for g in c.gates if g.angle is not None], dtype=np.float64)
+        steps = 2.0**c.p
+        grid = np.remainder(np.round(np.remainder(angles, 2 * math.pi) / (2 * math.pi) * steps), steps)
+        word[rotations] = word[rotations] << c.p | grid.astype(np.uint64)
+    return word, ops
+
+
 def encode_circuit(c: Circuit) -> CircuitEncoding:
-    """Bit-exact serialization of a circuit; see the module docstring."""
+    """Bit-exact serialization of a circuit; see the module docstring.
+
+    Each record word is shifted to the top of its 64 bits, so that its pad
+    bits are the zeros below it, and its first ceil(bits / 8) big-endian
+    bytes are the record.
+    """
     check_count("q", c.q, ENCODING_CAP_QUBITS)
     if len(c.gates) >= 2**32:
         raise CapError("gate count exceeds the 32-bit record")
+    header = _HEADER.pack(FORMAT_VERSION, c.q, c.basis == "quantized", c.p, len(c.gates))
     tb = _target_bits(c.q)
-    w = BitWriter()
-    w.write_uint(FORMAT_VERSION, 8)
-    w.write_uint(c.q, 16)
-    w.write_uint(1 if c.basis == "quantized" else 0, 8)
-    w.write_uint(c.p, 8)
-    w.write_uint(len(c.gates), 32)
-    prev = 0
-    for g in c.gates:
-        w.write_uint(OPCODES[g.name], 6)
-        for t in g.targets:
-            if tb:
-                w.write_uint((t - prev) % 2**tb, tb)
-            prev = t
-        if g.name in PARAMETRIZED:
-            grid = round((g.angle % (2 * math.pi)) / (2 * math.pi) * 2**c.p) % 2**c.p
-            w.write_uint(grid, c.p)
-        w.align_to_byte()
-    return CircuitEncoding(w.to_bytes(), w.bit_length)
+    word, ops = _record_words(c, tb)
+    bits = _record_bits(tb, c.p)[ops]
+    word <<= 64 - bits
+    keep = np.arange(8) < ((bits + 7) // 8)[:, None]
+    payload = header + word.astype(">u8").view(np.uint8).reshape(-1, 8)[keep].tobytes()
+    return CircuitEncoding(payload, 8 * len(payload))
+
+
+def _decode_records(data: bytes, q: int, p: int, basis_flag: int, count: int):
+    """Opcodes, first targets, CNOT second targets and angle grid points of
+    the records, as lists, after checking every record the way Gate and
+    Circuit would."""
+    tb = _target_bits(q)
+    bits = _record_bits(tb, p)
+    lengths = ((bits + 7) // 8).tolist()
+    starts = []
+    pos = _HEADER.size
+    try:
+        for _ in range(count):  # an unknown opcode has length 0 and is caught below
+            starts.append(pos)
+            pos += lengths[data[pos] >> 2]
+    except IndexError:
+        pos = len(data) + 1  # a record starts past the end
+    if pos > len(data):
+        raise DecodeError("payload truncated", offset=8 * len(data))
+    at = np.array(starts, dtype=np.int64)
+    del starts
+    buf = np.frombuffer(data + bytes(7), dtype=np.uint8)
+    ops = buf[at] >> 2
+    nbits = bits[ops]
+    if not nbits.all():
+        i = int(nbits.argmin())
+        raise DecodeError(f"unknown opcode {ops[i]}", offset=8 * int(at[i]))
+    pad = -nbits % 8
+    rec = sliding_window_view(buf, 8)[at].view(">u8")[:, 0].astype(np.uint64)
+    rec >>= 64 - (nbits + pad)  # keep the record's whole bytes
+    padding = rec & ((np.uint64(1) << pad) - np.uint64(1))
+    rec >>= pad
+    two = ops == _CNOT
+    rotation = (ops == _RY) | (ops == _RZ)
+    pbits = np.where(rotation, np.uint8(p), np.uint8(0))
+    grid = rec & ((np.uint64(1) << pbits) - np.uint64(1))
+    rec >>= pbits
+    cnots = np.flatnonzero(two)
+    second_delta = rec[cnots] & np.uint64(2**tb - 1)
+    rec[cnots] >>= np.uint64(tb)
+    first_at = np.arange(count)  # index of each record's first target in deltas
+    first_at[1:] += np.cumsum(two[:-1])
+    deltas = np.empty(count + cnots.size, dtype=np.uint64)
+    deltas[first_at] = rec & np.uint64(2**tb - 1)
+    deltas[first_at[cnots] + 1] = second_delta
+    targets = np.cumsum(deltas) % np.uint64(2**tb)
+    first, second = targets[first_at], targets[first_at + two]
+    for bad, what in (
+        (padding != 0, "nonzero padding bits"),
+        ((first >= q) | (second >= q), f"gate target out of range for q={q}"),
+        (two & (first == second), "CNOT targets coincide"),
+        (rotation & (basis_flag == 0), "rotation gate in the exact basis"),
+    ):
+        if bad.any():
+            i = int(bad.argmax())
+            raise DecodeError(what, offset=8 * int(at[i]))
+    return ops.tobytes(), first.tolist(), second[cnots].tolist(), grid[rotation].tolist()
 
 
 def decode_circuit(e: CircuitEncoding | bytes) -> Circuit:
+    """Inverse of encode_circuit. Every malformed payload raises DecodeError
+    with a bit offset, and the Circuit is built only after the whole payload
+    has passed the checks that Gate and Circuit make."""
     data = e.payload if isinstance(e, CircuitEncoding) else bytes(e)
-    r = BitReader(data)
-    version = r.read_uint(8)
-    if version != FORMAT_VERSION:
-        raise DecodeError(f"unsupported format version {version}", offset=0)
-    q = r.read_uint(16)
-    basis_flag = r.read_uint(8)
-    p = r.read_uint(8)
-    count = r.read_uint(32)
+    if not data:
+        raise DecodeError("payload truncated", offset=0)
+    if data[0] != FORMAT_VERSION:
+        raise DecodeError(f"unsupported format version {data[0]}", offset=0)
+    if len(data) < _HEADER.size:
+        raise DecodeError("payload truncated", offset=8 * len(data))
+    _, q, basis_flag, p, count = _HEADER.unpack_from(data)
     if not 1 <= q <= ENCODING_CAP_QUBITS or basis_flag > 1:
         raise DecodeError("implausible header", offset=8)
-    tb = _target_bits(q)
-    gates = []
-    prev = 0
-    for _ in range(count):
-        op = r.read_uint(6)
-        if op not in OPNAMES:
-            raise DecodeError(f"unknown opcode {op}", offset=r.position - 6)
-        name = OPNAMES[op]
-        arity = 2 if name in TWO_QUBIT else 1
-        targets = []
-        for _ in range(arity):
-            delta = r.read_uint(tb) if tb else 0
-            prev = (prev + delta) % 2**tb if tb else 0
-            targets.append(prev)
-        angle = None
-        if name in PARAMETRIZED:
-            angle = r.read_uint(p) * 2 * math.pi / 2**p
-        r.align_to_byte()
-        gates.append(Gate(name, tuple(targets), angle))
-    basis = "quantized" if basis_flag else "exact"
-    return Circuit(q, tuple(gates), basis, p)
+    if not (1 <= p <= ANGLE_BITS_CAP if basis_flag else p == 0):
+        raise DecodeError(f"angle precision p={p} disagrees with the basis flag", offset=32)
+    if count > len(data) - _HEADER.size:  # every record takes at least one byte
+        raise DecodeError("payload truncated", offset=8 * len(data))
+    ops, first, seconds, grid = _decode_records(data, q, p, basis_flag, count)
+    seconds, grid = iter(seconds), iter(grid)
+    return _trusted_circuit(
+        q, "quantized" if basis_flag else "exact", p,
+        map(OPNAMES.__getitem__, ops),
+        ((a, next(seconds)) if op == _CNOT else (a,) for op, a in zip(ops, first)),
+        (next(grid) * 2 * math.pi / 2**p if op in (_RY, _RZ) else None for op in ops),
+    )
 
 
 def knet_upper(c: Circuit) -> ComplexitySurrogate:

@@ -19,6 +19,7 @@ from .circuits import (
     DEFAULT_ANGLE_BITS,
     Circuit,
     Gate,
+    _mcx_gate_count,
     multi_controlled_x,
 )
 from .codes import LinearCode, decode_message, encode
@@ -26,6 +27,7 @@ from .errors import CapError, DecodeError, InputError, check_count
 from .states import STATE_QUBIT_CAP, NORM_TOL, StateVector, fidelity
 
 HEADER_BITS = 64  # 16-bit q, 16-bit p, 32-bit reserved
+HX_GATE_CAP = 2**22  # build_hx_circuit's gate count: admits n <= 8 (about 2.8M gates)
 
 
 # The two layout facts and the precision rule. Each runs once per protocol
@@ -76,6 +78,13 @@ def overlap(code: LinearCode, x: BitString, y: BitString) -> float:
     return agree / code.m
 
 
+def _hx_gate_count(k: int, ones: list[int]) -> int:
+    """Gates of build_hx_circuit on k index qubits for the positions ``ones``:
+    k Hadamards, then per position an X pair on each 0 bit and one MCX."""
+    mcx = _mcx_gate_count(k)
+    return k + sum(2 * (k - i.bit_count()) + mcx for i in ones)
+
+
 def build_hx_circuit(
     code: LinearCode, x: BitString, p: int = DEFAULT_ANGLE_BITS
 ) -> Circuit:
@@ -86,7 +95,8 @@ def build_hx_circuit(
     the register has at least one qubit. Controls matching a 0 bit of the
     position index are X-conjugated. The multi-controlled X uses the frozen
     ancilla-free decomposition (see circuits.MCX_DECOMPOSITION_ID), which
-    needs the quantized-rotation basis for two or more controls.
+    needs the quantized-rotation basis for two or more controls. A gate
+    count above HX_GATE_CAP is a CapError, raised before any gate is built.
     """
     word = encode(code, x)
     q = _fingerprint_qubits(code.m)
@@ -94,13 +104,15 @@ def build_hx_circuit(
     if 2**k != code.m:
         raise InputError(f"m={code.m} does not fill a {k}-qubit index register; "
                          "build the state directly")
+    ones = np.flatnonzero(word.bits()).tolist()
+    check_count("gates", _hx_gate_count(k, ones), HX_GATE_CAP)
+    mcx = multi_controlled_x(range(k), k, p)
+    flips = [Gate("X", (j,)) for j in range(k)]
     gates: list[Gate] = [Gate("H", (j,)) for j in range(k)]
-    for i in range(code.m):
-        if not word[i]:
-            continue
-        conj = [Gate("X", (j,)) for j in range(k) if not (i >> (k - 1 - j)) & 1]
+    for i in ones:
+        conj = [flips[j] for j in range(k) if not (i >> (k - 1 - j)) & 1]
         gates.extend(conj)
-        gates.extend(multi_controlled_x(range(k), k, p))
+        gates.extend(mcx)
         gates.extend(reversed(conj))
     return Circuit(q, tuple(gates), basis="quantized", p=p)
 

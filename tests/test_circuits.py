@@ -10,6 +10,7 @@ from qkolab.circuits import (
     DEFAULT_ANGLE_BITS,
     EXACT_BASIS,
     Gate,
+    _mcx_gate_count,
     apply_circuit,
     gate_matrix,
     multi_controlled_x,
@@ -91,6 +92,17 @@ def test_multi_controlled_x_frozen_gate_counts():
     # byte-for-byte reproducible encodings need a frozen decomposition
     counts = [len(multi_controlled_x(range(k), k)) for k in range(1, 6)]
     assert counts == [1, 23, 83, 263, 803]
+
+
+def test_mcx_gate_count_closed_form():
+    for k in range(7):
+        assert _mcx_gate_count(k) == len(multi_controlled_x(range(k), k, k + 2))
+
+
+def test_non_finite_angles_are_rejected():
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError):
+            Gate("RZ", (0,), angle)
 
 
 def test_multi_controlled_x_validation():

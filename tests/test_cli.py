@@ -323,6 +323,13 @@ def test_subnormal_eps_and_zero_counts_exit_2_caps_exit_3(capsys, argv, expected
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_fingerprint_report_above_the_gate_cap_exits_3(capsys):
+    argv = ["complexity", "report", "--target", "fingerprint", "--n", "9", "--x", "101010101"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_atomic_write_uses_unique_temp_and_cleans_up(tmp_path, capsys):
     (tmp_path / "x.json.tmp").mkdir()  # the old fixed temp name is taken
     code, data = run(HADAMARD_VERIFY, tmp_path, "x.json")

@@ -124,6 +124,17 @@ def test_encode_blocks_matches_per_block():
         encode_blocks(code, BitString("1011"))
 
 
+@given(st.integers(1, 6), st.integers(2, 5), st.data())
+def test_encode_blocks_matches_per_block_on_concatenated_codes(n, c, data):
+    code = concatenated_code(n, c)  # m = c * n need not be a multiple of 8
+    blocks = data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=9))
+    expected = encode(code, BitString(blocks[0]))
+    for block in blocks[1:]:
+        expected = expected + encode(code, BitString(block))
+    assert encode_blocks(code, BitString([b for block in blocks for b in block])) == expected
+
+
 def test_decode_message_membership():
     code = hadamard_code(3)
     for v in range(8):

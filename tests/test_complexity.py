@@ -1,12 +1,22 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkolab.bitio import BitWriter
 from qkolab.bits import BitString
-from qkolab.circuits import Circuit, Gate, quantize_angle
+from qkolab.circuits import (
+    ANGLE_BITS_CAP,
+    OPCODES,
+    PARAMETRIZED,
+    QUANTIZED_BASIS,
+    Circuit,
+    Gate,
+    quantize_angle,
+)
 from qkolab.codes import hadamard_code
 from qkolab.complexity import (
     ENCODING_CAP_QUBITS,
@@ -89,6 +99,127 @@ def test_roundtrip_random_circuits(data):
             gates.append(Gate(name, (data.draw(st.integers(0, q - 1)),)))
     c = Circuit(q, tuple(gates), basis="quantized", p=12)
     assert decode_circuit(encode_circuit(c)) == c
+
+
+def reference_encode(c: Circuit) -> bytes:
+    """Format v2 written one field at a time with BitWriter: the oracle for
+    the array encoder."""
+    tb = max(1, math.ceil(math.log2(c.q))) if c.q > 1 else 0
+    w = BitWriter()
+    w.write_uint(FORMAT_VERSION, 8)
+    w.write_uint(c.q, 16)
+    w.write_uint(1 if c.basis == "quantized" else 0, 8)
+    w.write_uint(c.p, 8)
+    w.write_uint(len(c.gates), 32)
+    prev = 0
+    for g in c.gates:
+        w.write_uint(OPCODES[g.name], 6)
+        for t in g.targets:
+            if tb:
+                w.write_uint((t - prev) % 2**tb, tb)
+            prev = t
+        if g.name in PARAMETRIZED:
+            grid = round((g.angle % (2 * math.pi)) / (2 * math.pi) * 2**c.p) % 2**c.p
+            w.write_uint(grid, c.p)
+        w.align_to_byte()
+    return w.to_bytes()
+
+
+@st.composite
+def circuits(draw):
+    """Circuits over every target width 0..15 and every opcode, with any
+    finite angle at any precision up to the cap."""
+    q = draw(st.sampled_from([1, 2, 3, 5, 2**15]))
+    quantized = draw(st.booleans())
+    p = draw(st.integers(1, ANGLE_BITS_CAP)) if quantized else 0
+    names = QUANTIZED_BASIS if quantized else QUANTIZED_BASIS[:6]
+    targets = st.integers(0, q - 1)
+    gates = []
+    for name in draw(st.lists(st.sampled_from(names), max_size=30)):
+        if name == "CNOT":
+            if q > 1:
+                a = draw(targets)
+                gates.append(Gate(name, (a, draw(targets.filter(lambda b: b != a)))))
+        elif name in PARAMETRIZED:
+            angle = draw(st.floats(allow_nan=False, allow_infinity=False))
+            gates.append(Gate(name, (draw(targets),), angle))
+        else:
+            gates.append(Gate(name, (draw(targets),)))
+    return Circuit(q, tuple(gates), "quantized" if quantized else "exact", p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_array_encoder_matches_the_field_by_field_oracle(c):
+    e = encode_circuit(c)
+    assert e.payload == reference_encode(c)
+    assert e.payload_bits == 8 * len(e.payload)
+    d = decode_circuit(e)
+    assert (d.q, d.basis, d.p, len(d.gates)) == (c.q, c.basis, c.p, len(c.gates))
+    assert encode_circuit(d).payload == e.payload
+    assert [(g.name, g.targets) for g in d.gates] == [(g.name, g.targets) for g in c.gates]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    circuits(),
+    st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)), max_size=3),
+    st.binary(max_size=8),
+    st.integers(0, 1),
+)
+def test_decoder_fuzz_raises_decode_error_or_reads_a_prefix(c, flips, tail, extra):
+    # a valid header over the records of c with some bytes flipped, random
+    # bytes appended and possibly one more record announced than encoded
+    payload = bytearray(encode_circuit(c).payload)
+    for at, mask in flips:
+        if len(payload) > 9:
+            payload[9 + at % (len(payload) - 9)] ^= mask
+    payload[5:9] = (len(c.gates) + extra).to_bytes(4, "big")
+    payload = bytes(payload + tail)
+    try:
+        d = decode_circuit(payload)
+    except DecodeError:
+        assert flips or extra
+        return
+    assert (d.q, d.basis, d.p, len(d.gates)) == (c.q, c.basis, c.p, len(c.gates) + extra)
+    assert payload.startswith(encode_circuit(d).payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "020002000500000000",  # exact basis with p = 5
+        "020002010000000000",  # quantized basis with p = 0
+        "020002012100000000",  # quantized basis with p = 33, above the cap
+        "020002000000000001" "18",  # CNOT whose deltas 0, 0 land on qubit 0 twice
+        "020003000000000001" "07",  # H on target 3 with q = 3
+        "020002000000000001" "1c",  # RY in an exact-basis payload
+        "020002000000000001" "05",  # H with a nonzero pad bit
+        "020002000000000001" "24",  # opcode 9
+        "020002000000000002" "04",  # two records announced, one present
+    ],
+    ids=["exact-p5", "quantized-p0", "quantized-p33", "cnot-same-target", "target-ge-q",
+         "rotation-in-exact", "nonzero-pad", "unknown-opcode", "truncated"],
+)
+def test_malformed_payloads_are_decode_errors(payload):
+    with pytest.raises(DecodeError) as info:
+        decode_circuit(bytes.fromhex(payload))
+    assert info.value.offset is not None
+
+
+def test_angle_precision_is_capped_both_ways():
+    rz = (Gate("RZ", (0,), 1.0),)
+    with pytest.raises(CapError):
+        Circuit(2, rz, "quantized", 300)
+    with pytest.raises(CapError):
+        Circuit(2, rz, "quantized", ANGLE_BITS_CAP + 1)
+    with pytest.raises(InputError):
+        Circuit(2, rz, "quantized", 0)
+    with pytest.raises(InputError):
+        Circuit(2, (), "exact", 5)
+    top = Circuit(2, rz, "quantized", ANGLE_BITS_CAP)
+    assert encode_circuit(top).payload == reference_encode(top)
+    assert decode_circuit(encode_circuit(top)).gates[0].angle == quantize_angle(1.0, ANGLE_BITS_CAP)
 
 
 def test_decode_errors_carry_offsets():

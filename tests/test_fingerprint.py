@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from qkolab.bits import BitString
 from qkolab.circuits import apply_circuit
 from qkolab.codes import concatenated_code, encode, hadamard_code, simplex_code
-from qkolab.errors import DecodeError, InputError
+from qkolab.errors import CapError, DecodeError, InputError
 from qkolab.fingerprint import (
     HEADER_BITS,
+    HX_GATE_CAP,
+    _hx_gate_count,
     build_fingerprint,
     build_hx_circuit,
     decode_state,
@@ -88,6 +91,27 @@ def test_circuit_requires_power_of_two():
     # the 2-qubit fingerprint register is built (a lone X would be 1 qubit)
     with pytest.raises(InputError):
         build_hx_circuit(simplex_code(1), BitString("1"))
+
+
+def test_hx_gate_count_closed_form():
+    known = {4: 2140, 5: 12933, 6: 77734}
+    for n in (3, 4, 5, 6):
+        x = BitString.from_int(0b1011 % 2**n, n)
+        word = encode(hadamard_code(n), x).bits()
+        count = _hx_gate_count(n, np.flatnonzero(word).tolist())
+        assert count == len(build_hx_circuit(hadamard_code(n), x).gates)
+        assert count == known.get(n, count)
+
+
+def test_hx_gate_cap_is_checked_before_building():
+    word = encode(hadamard_code(8), BitString.from_int(0b101, 8)).bits()
+    assert _hx_gate_count(8, np.flatnonzero(word).tolist()) <= HX_GATE_CAP  # n = 8 builds
+    for n in (9, 16):
+        code, x = hadamard_code(n), BitString.from_int(0b101, n)
+        start = time.perf_counter()
+        with pytest.raises(CapError):
+            build_hx_circuit(code, x)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_circuit_gate_count_scaling():
