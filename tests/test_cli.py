@@ -2,7 +2,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -152,21 +151,11 @@ def test_bad_input_exits_2(tmp_path):
     ) == 2
 
 
-def test_byte_reproducibility_across_thread_counts(tmp_path):
-    outputs = []
-    for threads in ("1", "4", "16"):
-        os.environ["QKOLAB_THREADS"] = threads
-        try:
-            _, data = run(
-                ["equality", "--protocol", "classical", "--n", "3",
-                 "--trials", "500", "--seed", "3"],
-                tmp_path,
-                f"rep-{threads}.json",  # the bytes must not depend on --out
-            )
-        finally:
-            del os.environ["QKOLAB_THREADS"]
-        outputs.append(data)
-    assert outputs[0] == outputs[1] == outputs[2]
+def test_equality_bytes_repeat_across_out_paths_and_in_a_fresh_process(tmp_path, fresh_cli):
+    argv = ["equality", "--protocol", "classical", "--n", "3", "--trials", "500", "--seed", "3"]
+    outputs = [run(argv, tmp_path, f"rep-{i}.json")[1] for i in range(3)]  # the bytes must not depend on --out
+    outputs.append(fresh_cli(argv))
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
 def test_config_file_defaults_and_override(tmp_path):

@@ -21,6 +21,7 @@ from qkolab.codes import hadamard_code
 from qkolab.complexity import (
     ENCODING_CAP_QUBITS,
     FORMAT_VERSION,
+    _spearman,
     bell_pair_circuit,
     cbe_upper,
     decode_circuit,
@@ -317,6 +318,18 @@ def test_observation1_rank_correlation():
     assert rep.spearman >= 0.9
     with pytest.raises(InputError):
         observation1_experiment(hadamard_code(4), 10)
+    # criterion 9's corpus: the value scipy.stats.spearmanr gave, to the bit
+    assert observation1_experiment(hadamard_code(10), 200, seed=0).spearman == 0.9188857604579085
+
+
+def test_spearman_matches_scipy_on_tied_ranks():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(9)
+    for _ in range(500):
+        n = int(rng.integers(3, 60))
+        a, b = (rng.integers(0, int(rng.integers(2, 6)), n) for _ in range(2))
+        if len(set(a)) > 1 and len(set(b)) > 1:  # rho is undefined for a constant list
+            assert abs(_spearman(a, b) - stats.spearmanr(a, b).statistic) <= 1e-12
 
 
 def test_fingerprint_circuit_knet_band():

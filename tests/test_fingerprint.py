@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qkolab.bits import BitString
-from qkolab.circuits import apply_circuit
+from qkolab.circuits import ANGLE_BITS_CAP, Circuit, apply_circuit
 from qkolab.codes import concatenated_code, encode, hadamard_code, simplex_code
 from qkolab.errors import CapError, DecodeError, InputError
 from qkolab.fingerprint import (
@@ -101,6 +101,15 @@ def test_hx_gate_count_closed_form():
         count = _hx_gate_count(n, np.flatnonzero(word).tolist())
         assert count == len(build_hx_circuit(hadamard_code(n), x).gates)
         assert count == known.get(n, count)
+
+
+def test_hx_circuit_passes_the_full_circuit_check():
+    # build_hx_circuit skips Circuit's per-gate check; that check accepts its output
+    for n in (1, 3, 5):
+        c = build_hx_circuit(hadamard_code(n), BitString.from_int(0b1011 % 2**n, n))
+        assert Circuit(c.q, c.gates, c.basis, c.p) == c
+    with pytest.raises(CapError):
+        build_hx_circuit(hadamard_code(2), BitString("10"), p=ANGLE_BITS_CAP + 1)
 
 
 def test_hx_gate_cap_is_checked_before_building():
