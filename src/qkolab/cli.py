@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -245,6 +246,7 @@ def _add_code_flags(sp):
     sp.add_argument("--c", type=int, default=4, help="rate multiple for concatenated")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     # _effective_argv reads --config, so any spelling that reaches argparse exits 2
     parser = argparse.ArgumentParser(

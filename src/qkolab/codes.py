@@ -42,7 +42,8 @@ def encode(code: LinearCode, x: BitString) -> BitString:
     """x * G over GF(2)."""
     if x.length != code.n:
         raise InputError(f"message length {x.length} != code.n {code.n}")
-    return BitString((x.bits() @ code.generator) % 2)
+    word = (x.bits() @ code.generator) & 1  # 0/1 by construction, so packed directly
+    return BitString._from_packed(np.packbits(word).tobytes(), code.m)
 
 
 def encode_blocks(code: LinearCode, x: BitString) -> BitString:

@@ -9,7 +9,10 @@ record per gate: a 6-bit opcode, one delta-coded target per operand
 2^bits) and a p-bit angle for parametrized gates. Each gate record is
 zero-padded to a byte boundary, as is the header. With q and p capped a
 record has at most 6 + 15 + 32 bits, so the codec handles each record as
-one uint64 and the whole circuit as numpy arrays.
+one uint64 and the whole circuit as numpy arrays: the encoder reads the
+circuit's gate table (see ``circuits``) and the decoder writes one, and
+neither makes a ``Gate``. Because a one-qubit row repeats its target, the
+target a record is delta-coded against is the previous row's second one.
 
 Targets are delta-coded and records byte-aligned so that structurally
 repetitive circuits (the Bell-pair ladder, the per-position conditional
@@ -30,13 +33,11 @@ from .bits import BitString
 from .circuits import (
     ANGLE_BITS_CAP,
     Circuit,
-    Gate,
     OPCODES,
     OPNAMES,
     PARAMETRIZED,
     TWO_QUBIT,
     _trusted_circuit,
-    _trusted_gate,
     apply_circuit,
 )
 from .codes import LinearCode, encode_blocks
@@ -47,9 +48,10 @@ from .states import DensityMatrix, StateVector, partial_trace, uhlmann_fidelity
 
 FORMAT_VERSION = 2
 ENCODING_CAP_QUBITS = 2**15
+ENCODE_CHUNK = 2**16  # gate records per array pass of the encoder
 
 _HEADER = struct.Struct(">BHBBI")  # version, q, basis flag, p, gate count
-_CNOT, _RY, _RZ = OPCODES["CNOT"], OPCODES["RY"], OPCODES["RZ"]
+_H, _CNOT, _RY, _RZ = (OPCODES[name] for name in ("H", "CNOT", "RY", "RZ"))
 
 
 @dataclass(frozen=True)
@@ -71,62 +73,64 @@ def _record_bits(tb: int, p: int) -> np.ndarray:
     return bits
 
 
-def _record_words(c: Circuit, tb: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each gate record as one uint64, (op << tb | t1) [<< tb | t2] [<< p | grid],
-    and the opcodes."""
-    n = len(c.gates)
-    ops = np.fromiter((OPCODES[g.name] for g in c.gates), np.uint8, n)
-    deltas = np.fromiter((t for g in c.gates for t in g.targets), np.int64)
-    deltas[1:] -= deltas[:-1]
-    deltas = (deltas % 2**tb).view(np.uint64)
-    two = ops == _CNOT
-    first = np.arange(n)  # index of each gate's first target in deltas
-    first[1:] += np.cumsum(two[:-1])
-    word = ops.astype(np.uint64) << tb | deltas[first]
-    cnots = np.flatnonzero(two)
-    word[cnots] = word[cnots] << tb | deltas[first[cnots] + 1]
+def _record_bytes(c: Circuit, tb: int, lo: int, hi: int) -> bytes:
+    """The records of rows lo..hi-1. Each is built as one uint64,
+    (op << tb | t1) [<< tb | t2] [<< p | grid], then shifted to the top of
+    its 64 bits, so that its pad bits are the zeros below it, and its first
+    ceil(bits / 8) big-endian bytes are the record. The uint16 target
+    differences wrap modulo 2^16, which 2^tb divides."""
+    ops, targets = c.ops[lo:hi], c.targets[lo:hi]
+    mask = 2**tb - 1
+    prev = np.empty_like(targets[:, 1])
+    prev[0] = c.targets[lo - 1, 1] if lo else 0
+    prev[1:] = targets[:-1, 1]
+    word = ops.astype(np.uint64) << tb | ((targets[:, 0] - prev) & mask)
+    cnots = np.flatnonzero(ops == _CNOT)
+    second = (targets[cnots, 1] - targets[cnots, 0]) & mask
+    word[cnots] = word[cnots] << tb | second
     rotations = np.flatnonzero((ops == _RY) | (ops == _RZ))
     if rotations.size:
-        angles = np.array([g.angle for g in c.gates if g.angle is not None], dtype=np.float64)
         steps = 2.0**c.p
+        angles = c.angles[lo:hi][rotations]
         grid = np.remainder(np.round(np.remainder(angles, 2 * math.pi) / (2 * math.pi) * steps), steps)
         word[rotations] = word[rotations] << c.p | grid.astype(np.uint64)
-    return word, ops
+    bits = _record_bits(tb, c.p)[ops]
+    word <<= 64 - bits
+    keep = np.arange(8) < ((bits + 7) // 8)[:, None]
+    return word.astype(">u8").view(np.uint8).reshape(-1, 8)[keep].tobytes()
 
 
 def encode_circuit(c: Circuit) -> CircuitEncoding:
     """Bit-exact serialization of a circuit; see the module docstring.
 
-    Each record word is shifted to the top of its 64 bits, so that its pad
-    bits are the zeros below it, and its first ceil(bits / 8) big-endian
-    bytes are the record.
+    The records are built ENCODE_CHUNK rows at a time, which bounds the
+    temporaries whatever the gate count.
     """
     check_count("q", c.q, ENCODING_CAP_QUBITS)
-    if len(c.gates) >= 2**32:
+    count = len(c.ops)
+    if count >= 2**32:
         raise CapError("gate count exceeds the 32-bit record")
-    header = _HEADER.pack(FORMAT_VERSION, c.q, c.basis == "quantized", c.p, len(c.gates))
+    header = _HEADER.pack(FORMAT_VERSION, c.q, c.basis == "quantized", c.p, count)
     tb = _target_bits(c.q)
-    word, ops = _record_words(c, tb)
-    bits = _record_bits(tb, c.p)[ops]
-    word <<= 64 - bits
-    keep = np.arange(8) < ((bits + 7) // 8)[:, None]
-    payload = header + word.astype(">u8").view(np.uint8).reshape(-1, 8)[keep].tobytes()
+    records = (_record_bytes(c, tb, lo, lo + ENCODE_CHUNK) for lo in range(0, count, ENCODE_CHUNK))
+    payload = b"".join((header, *records))
     return CircuitEncoding(payload, 8 * len(payload))
 
 
-def _decode_records(data: bytes, q: int, p: int, basis_flag: int, count: int):
-    """Opcodes, first targets, CNOT second targets and angle grid points of
-    the records, as lists, after checking every record the way Gate and
-    Circuit would."""
+def _decode_table(data: bytes, q: int, p: int, basis_flag: int, count: int):
+    """The gate table (opcodes, targets, angles) of the records, after
+    checking every record the way Gate and Circuit would."""
     tb = _target_bits(q)
     bits = _record_bits(tb, p)
-    lengths = ((bits + 7) // 8).tolist()
+    # the length of a record that starts at each byte, read off its opcode bits
+    lengths = data.translate(((bits + 7) // 8)[np.arange(256) >> 2].tobytes())
     starts = []
+    append = starts.append
     pos = _HEADER.size
     try:
         for _ in range(count):  # an unknown opcode has length 0 and is caught below
-            starts.append(pos)
-            pos += lengths[data[pos] >> 2]
+            append(pos)
+            pos += lengths[pos]
     except IndexError:
         pos = len(data) + 1  # a record starts past the end
     if pos > len(data):
@@ -168,13 +172,16 @@ def _decode_records(data: bytes, q: int, p: int, basis_flag: int, count: int):
         if bad.any():
             i = int(bad.argmax())
             raise DecodeError(what, offset=8 * int(at[i]))
-    return ops.tobytes(), first.tolist(), second[cnots].tolist(), grid[rotation].tolist()
+    angles = np.zeros(count)
+    angles[rotation] = grid[rotation].astype(np.float64) * 2 * math.pi / 2**p
+    return ops, np.column_stack((first, second)), angles
 
 
 def decode_circuit(e: CircuitEncoding | bytes) -> Circuit:
     """Inverse of encode_circuit. Every malformed payload raises DecodeError
     with a bit offset, and the Circuit is built only after the whole payload
-    has passed the checks that Gate and Circuit make."""
+    has passed the checks that Gate and Circuit make; its gates are made on
+    first access."""
     data = e.payload if isinstance(e, CircuitEncoding) else bytes(e)
     if not data:
         raise DecodeError("payload truncated", offset=0)
@@ -189,15 +196,8 @@ def decode_circuit(e: CircuitEncoding | bytes) -> Circuit:
         raise DecodeError(f"angle precision p={p} disagrees with the basis flag", offset=32)
     if count > len(data) - _HEADER.size:  # every record takes at least one byte
         raise DecodeError("payload truncated", offset=8 * len(data))
-    ops, first, seconds, grid = _decode_records(data, q, p, basis_flag, count)
-    seconds, grid = iter(seconds), iter(grid)
-    gates = tuple(map(
-        _trusted_gate,
-        map(OPNAMES.__getitem__, ops),
-        ((a, next(seconds)) if op == _CNOT else (a,) for op, a in zip(ops, first)),
-        (next(grid) * 2 * math.pi / 2**p if op in (_RY, _RZ) else None for op in ops),
-    ))
-    return _trusted_circuit(q, gates, "quantized" if basis_flag else "exact", p)
+    ops, targets, angles = _decode_table(data, q, p, basis_flag, count)
+    return _trusted_circuit(q, ops, targets, angles, "quantized" if basis_flag else "exact", p)
 
 
 def knet_upper(c: Circuit) -> ComplexitySurrogate:
@@ -275,11 +275,10 @@ def bell_pair_circuit(n: int) -> Circuit:
     state on n qubits.
     """
     check_count("n", n, ENCODING_CAP_QUBITS // 2)
-    gates = []
-    for i in range(n):
-        gates.append(Gate("H", (2 * i,)))
-        gates.append(Gate("CNOT", (2 * i, 2 * i + 1)))
-    return Circuit(2 * n, tuple(gates))
+    firsts = np.repeat(np.arange(0, 2 * n, 2), 2)  # H(2i), then CNOT(2i, 2i + 1)
+    targets = np.column_stack((firsts, firsts + np.tile([0, 1], n)))
+    ops = np.tile(np.array([_H, _CNOT], dtype=np.uint8), n)
+    return _trusted_circuit(2 * n, ops, targets, np.zeros(2 * n), "exact", 0)
 
 
 @dataclass(frozen=True)

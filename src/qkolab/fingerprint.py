@@ -17,8 +17,9 @@ from .bitio import BitReader, BitWriter
 from .bits import BitString
 from .circuits import (
     DEFAULT_ANGLE_BITS,
+    OPCODES,
     Circuit,
-    Gate,
+    _gate_table,
     _mcx_gate_count,
     _trusted_circuit,
     multi_controlled_x,
@@ -75,8 +76,8 @@ def build_fingerprint(code: LinearCode, x: BitString) -> StateVector:
 
 def overlap(code: LinearCode, x: BitString, y: BitString) -> float:
     """Fraction of positions where E(x) and E(y) agree; equals <h_x|h_y>."""
-    agree = int((encode(code, x).bits() == encode(code, y).bits()).sum())
-    return agree / code.m
+    differ = (encode(code, x).to_int() ^ encode(code, y).to_int()).bit_count()
+    return (code.m - differ) / code.m
 
 
 def _hx_gate_count(k: int, ones: list[int]) -> int:
@@ -98,6 +99,8 @@ def build_hx_circuit(
     ancilla-free decomposition (see circuits.MCX_DECOMPOSITION_ID), which
     needs the quantized-rotation basis for two or more controls. A gate
     count above HX_GATE_CAP is a CapError, raised before any gate is built.
+    The one MCX gate list becomes table rows once; the circuit's table is
+    those rows and the Hadamard and X rows, gathered in circuit order.
     """
     word = encode(code, x)
     q = _fingerprint_qubits(code.m)
@@ -107,17 +110,22 @@ def build_hx_circuit(
                          "build the state directly")
     ones = np.flatnonzero(word.bits()).tolist()
     check_count("gates", _hx_gate_count(k, ones), HX_GATE_CAP)
-    mcx = multi_controlled_x(range(k), k, p)
-    flips = [Gate("X", (j,)) for j in range(k)]
-    gates: list[Gate] = [Gate("H", (j,)) for j in range(k)]
+    mcx_ops, mcx_targets, mcx_angles = _gate_table(multi_controlled_x(range(k), k, p))
+    qubits = np.arange(k)
+    # the rows to gather from: H on each index qubit, X on each, then the MCX block
+    ops = np.concatenate((np.repeat(np.uint8([OPCODES["H"], OPCODES["X"]]), k), mcx_ops))
+    singles = np.tile(qubits, 2)
+    targets = np.concatenate((np.column_stack((singles, singles)), mcx_targets)).astype(np.uint16)
+    angles = np.concatenate((np.zeros(2 * k), mcx_angles))
+    block = np.arange(2 * k, len(ops))
+    rows = [qubits]
     for i in ones:
-        conj = [flips[j] for j in range(k) if not (i >> (k - 1 - j)) & 1]
-        gates.extend(conj)
-        gates.extend(mcx)
-        gates.extend(reversed(conj))
-    # Circuit's per-gate check would re-check every reference: each Gate was
-    # validated when built, every target is below q, and mcx has checked p.
-    return _trusted_circuit(q, tuple(gates), "quantized", p)
+        flips = k + np.flatnonzero(~(i >> (k - 1 - qubits)) & 1)  # X on each 0 bit of i
+        rows += (flips, block, flips[::-1])
+    rows = np.concatenate(rows)
+    # every row has passed Circuit's checks: targets are below q, and mcx has checked p
+    return _trusted_circuit(q, ops.take(rows), targets.take(rows, axis=0), angles.take(rows),
+                            "quantized", p)
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,7 @@ def decode_state(d: QuantizedDescription | bytes) -> StateVector:
     if bits.size < length:
         raise DecodeError("payload truncated", offset=bits.size)
     body = bits[HEADER_BITS:length].reshape(2 * dim, p)
-    unsigned = (body.astype(np.int64) << np.arange(p - 1, -1, -1)).sum(axis=1)
+    unsigned = body @ (1 << np.arange(p - 1, -1, -1))
     vals = np.where(unsigned >= 1 << (p - 1), unsigned - (1 << p), unsigned).astype(
         np.float64
     )

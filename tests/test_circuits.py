@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkolab.circuits import (
+    ANGLE_BITS_CAP,
     Circuit,
     DEFAULT_ANGLE_BITS,
     EXACT_BASIS,
+    QUANTIZED_BASIS,
     Gate,
     _mcx_gate_count,
     apply_circuit,
@@ -17,6 +19,7 @@ from qkolab.circuits import (
     multi_controlled_x,
     quantize_angle,
 )
+from qkolab.complexity import decode_circuit, encode_circuit
 from qkolab.errors import InputError
 from qkolab.states import StateVector
 
@@ -148,6 +151,31 @@ def test_apply_circuit_matches_kron_oracle(data):
     s0 = StateVector.random(q, np.random.default_rng(data.draw(st.integers(0, 99))))
     out = apply_circuit(c, s0)
     assert np.abs(out.amplitudes - u @ s0.amplitudes).max() < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_table_born_and_gate_born_circuits_apply_alike(data):
+    q = data.draw(st.integers(1, 6))
+    p = data.draw(st.integers(1, ANGLE_BITS_CAP))
+    qubit = st.integers(0, q - 1)
+    gates = []
+    for name in data.draw(st.lists(st.sampled_from(QUANTIZED_BASIS), max_size=30)):
+        if name == "CNOT":
+            if q > 1:
+                a = data.draw(qubit)
+                gates.append(Gate(name, (a, data.draw(qubit.filter(lambda b: b != a)))))
+        elif name in ("RY", "RZ"):
+            angle = quantize_angle(data.draw(st.floats(0, 6.3)), p)
+            gates.append(Gate(name, (data.draw(qubit),), angle))
+        else:
+            gates.append(Gate(name, (data.draw(qubit),)))
+    gate_born = Circuit(q, tuple(gates), "quantized", p)
+    table_born = decode_circuit(encode_circuit(gate_born))
+    assert table_born == gate_born
+    s0 = StateVector.random(q, np.random.default_rng(data.draw(st.integers(0, 99))))
+    out = apply_circuit(table_born, s0).amplitudes
+    assert np.array_equal(out, apply_circuit(gate_born, s0).amplitudes)
 
 
 def _exact_circuit(q: int, count: int, seed: int) -> Circuit:

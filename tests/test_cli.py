@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkolab.cli import canonical_json, main
+from qkolab.cli import build_parser, canonical_json, main
 
 HADAMARD_VERIFY = ["codes", "verify", "--code", "hadamard", "--n", "3"]
 
@@ -30,6 +30,16 @@ def test_codes_verify(tmp_path, capsys):
     capsys.readouterr()
     assert main(HADAMARD_VERIFY) == 0
     assert json.loads(capsys.readouterr().out) == doc  # stdout holds the one report
+
+
+def test_usage_errors_leave_the_one_parser_as_it_was(tmp_path, capsys, fresh_cli):
+    argv = ["equality", "--protocol", "quantum", "--n", "3", "--k", "2", "--trials", "40",
+            "--seed", "5"]
+    assert build_parser() is build_parser()
+    assert main(["equality", "--protocol", "quantum", "--bogus"]) == 2
+    assert main(argv[:4] + ["three"] + argv[5:]) == 2
+    code, data = run(argv, tmp_path)
+    assert code == 0 and data == fresh_cli(argv)
 
 
 def test_codes_verify_ignores_mode_and_caps_n(tmp_path, capsys):

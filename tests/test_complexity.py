@@ -1,11 +1,13 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkolab import complexity
 from qkolab.bitio import BitWriter
 from qkolab.bits import BitString
 from qkolab.circuits import (
@@ -15,6 +17,7 @@ from qkolab.circuits import (
     QUANTIZED_BASIS,
     Circuit,
     Gate,
+    _mcx_gate_count,
     quantize_angle,
 )
 from qkolab.codes import hadamard_code
@@ -159,6 +162,47 @@ def test_array_encoder_matches_the_field_by_field_oracle(c):
     assert (d.q, d.basis, d.p, len(d.gates)) == (c.q, c.basis, c.p, len(c.gates))
     assert encode_circuit(d).payload == e.payload
     assert [(g.name, g.targets) for g in d.gates] == [(g.name, g.targets) for g in c.gates]
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(), st.integers(1, 7))
+def test_encoding_in_chunks_matches_the_oracle(c, chunk):
+    # a record's delta is taken against the previous row's target, across chunks too
+    with mock.patch.object(complexity, "ENCODE_CHUNK", chunk):
+        assert encode_circuit(c).payload == reference_encode(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_table_born_circuits_match_the_oracle_and_their_gate_born_form(data):
+    kind = data.draw(st.sampled_from(["bell", "hx", "decoded"]))
+    if kind == "bell":
+        c = bell_pair_circuit(data.draw(st.integers(1, 300)))
+    elif kind == "hx":
+        n = data.draw(st.integers(2, 5))
+        x = BitString.from_int(data.draw(st.integers(0, 2**n - 1)), n)
+        c = build_hx_circuit(hadamard_code(n), x, data.draw(st.integers(n + 2, ANGLE_BITS_CAP)))
+    else:
+        c = decode_circuit(encode_circuit(data.draw(circuits())))
+    assert encode_circuit(c).payload == reference_encode(c)
+    assert Circuit(c.q, c.gates, c.basis, c.p) == c
+
+
+def test_table_born_circuits_make_gates_only_on_demand(monkeypatch):
+    made = []
+    check = Gate.__post_init__
+    monkeypatch.setattr(Gate, "__post_init__", lambda g: made.append(g) or check(g))
+    bell = bell_pair_circuit(1000)
+    hx = build_hx_circuit(hadamard_code(4), BitString("1011"))
+    assert len(made) == _mcx_gate_count(4)  # the one MCX list that build_hx_circuit tiles
+    decoded = [decode_circuit(encode_circuit(c)) for c in (bell, hx)]
+    assert knet_upper(bell) and knet_upper(hx)
+    assert len(made) == _mcx_gate_count(4)
+    for c in (bell, hx, *decoded):
+        made.clear()
+        gates = c.gates
+        assert gates is c.gates and len(gates) == len(c.ops)
+        assert len(made) == len({id(g) for g in gates}) == len(set(gates))  # one per distinct row
 
 
 @settings(max_examples=300, deadline=None)
